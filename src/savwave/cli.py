@@ -25,9 +25,17 @@ from .harness import (
     invariant_suite,
     strong_convergence,
 )
-from .model import ModelViolationError, make_problem, sav_radicand
+from .model import ModelViolationError, diffusion_values, make_problem, sav_radicand
 from .noise import RngStream, covariance_tail, power_covariance, sample_increment, trace_operator
-from .schemes import BlowUpError, RunRecord, SavState, run_trajectory, step_exponential_sav, step_midpoint_sav
+from .schemes import (
+    ENERGY_GUARD,
+    BlowUpError,
+    RunRecord,
+    SavState,
+    run_trajectory,
+    step_exponential_sav,
+    step_midpoint_sav,
+)
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "main"]
 
@@ -274,8 +282,9 @@ def _fem_records(config):
     trace_fn = trace_operator(problem.noise, ops)
     rng = RngStream(config.seed, 0)
     v_mod = float(0.5 * np.sum(ops.lam * u0c**2) + 0.5 * np.sum(v0c**2) + state.q**2)
+    trace0 = float(trace_fn(diffusion_values(u0c, problem, ops)))
     records = [RunRecord(0, 0.0, v_mod, v_mod - float(state.q**2) + float(rad0 - problem.delta0),
-                         float(state.q), 0.0, 0.0, float("nan"))]
+                         float(state.q), 0.0, 0.0, trace0)]
     u_prev = state.u
     for n in range(config.steps()):
         dw = cmap @ sample_increment(problem.noise, config.tau, rng).coeffs
@@ -287,8 +296,8 @@ def _fem_records(config):
         else:
             state, diag = step_midpoint_sav(state, dw, config.tau, problem, ops,
                                             u_hat=u_hat, trace_fn=trace_fn)
-        if diag.V > 1e12:
-            raise BlowUpError(f"modified energy exceeded 1e12 at step {n + 1}")
+        if diag.V > ENERGY_GUARD:
+            raise BlowUpError(f"modified energy exceeded {ENERGY_GUARD:.1e} at step {n + 1}")
         records.append(RunRecord(n + 1, (n + 1) * config.tau, float(diag.V), float(diag.V1),
                                  float(diag.q), float(diag.aux_gap),
                                  float(diag.energy_residual), float(diag.trace_term)))

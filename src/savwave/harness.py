@@ -20,8 +20,10 @@ from . import fem as fem_mod
 from .model import make_problem, sav_radicand, spectral_discretization
 from .noise import RngStream, trace as cov_trace, trace_operator
 from .schemes import (
+    ENERGY_GUARD,
     SavState,
     _predict,
+    initial_state,
     modified_energy,
     state_norm,
     step_exponential_sav,
@@ -46,9 +48,6 @@ __all__ = [
     "invariant_suite",
     "fit_loglog",
 ]
-
-ENERGY_GUARD = 1e12
-
 
 @dataclass(frozen=True)
 class Statistics:
@@ -227,7 +226,11 @@ class _Integrator:
         return modified_energy(self.state.u, self.state.v, self.state.q, self.ops.lam)
 
     def sanitize(self, excluded):
-        """Mark paths beyond the energy guard and park them at a benign state."""
+        """Mark paths beyond the energy guard and park them at a benign state.
+
+        The parked state is built from new arrays, so it carries no cached
+        nodal values or radicand: the next step synthesizes them afresh.
+        """
         v = self.energy()
         bad = ~np.isfinite(v) | (v > ENERGY_GUARD)
         if np.any(bad & ~excluded):
@@ -246,8 +249,7 @@ class _Integrator:
 def _batched_initial(problem, ops, batch):
     u0 = np.tile(problem.u0.coeffs, (batch, 1))
     v0 = np.tile(problem.v0.coeffs, (batch, 1))
-    q0 = np.sqrt(sav_radicand(u0, problem, ops))
-    return SavState(u0, v0, q0)
+    return initial_state(u0, v0, problem, ops)
 
 
 def _chunk_bounds(total, chunk, index):

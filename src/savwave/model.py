@@ -128,20 +128,39 @@ def spectral_discretization(modes, grid_factor=2, grid_points=None):
     return Discretization(eigenvalues(modes), grid, synth, analysis, dsynth)
 
 
+def _zero(u):
+    return np.zeros_like(u)
+
+
+def _identity(u):
+    return u
+
+
 # Built-in drift pairs (f, Ftilde) with Ftilde' = f and Ftilde(0) = 0.
 DRIFTS = {
-    "zero": (lambda u: np.zeros_like(u), lambda u: np.zeros_like(u)),
-    "linear": (lambda u: u, lambda u: 0.5 * u**2),
+    "zero": (_zero, _zero),
+    "linear": (_identity, lambda u: 0.5 * u**2),
     "sine": (np.sin, lambda u: 1.0 - np.cos(u)),
     "cubic": (lambda u: u**3 + u, lambda u: 0.25 * u**4 + 0.5 * u**2),
 }
 
+
+def _of_u(fn):
+    """Diffusion g(u, u_x) = fn(u) that records fn as `of_u` (see Problem.g_is_f)."""
+
+    def g(u, ux):
+        return fn(u)
+
+    g.of_u = fn
+    return g
+
+
 # Built-in diffusions as maps of (u, u_x); only "constant" uses sigma.
 DIFFUSIONS = {
-    "zero": lambda sigma: (lambda u, ux: np.zeros_like(u)),
+    "zero": lambda sigma: _of_u(_zero),
     "constant": lambda sigma: (lambda u, ux: np.full_like(u, sigma)),
-    "sine": lambda sigma: (lambda u, ux: np.sin(u)),
-    "linear": lambda sigma: (lambda u, ux: u),
+    "sine": lambda sigma: _of_u(np.sin),
+    "linear": lambda sigma: _of_u(_identity),
 }
 
 
@@ -164,6 +183,11 @@ class Problem:
     def __post_init__(self):
         if self.delta0 <= 0:
             raise ValueError(f"delta0 must be positive, got {self.delta0}")
+
+    @property
+    def g_is_f(self):
+        """True when g(u, u_x) is f(u) pointwise, so one evaluation serves both."""
+        return getattr(self.g, "of_u", None) is self.f
 
 
 def default_initial_displacement(modes):
@@ -222,8 +246,9 @@ def potential(coeffs, problem, ops):
     return ops.quad(problem.Ftilde(ops.nodal(coeffs)))
 
 
-def sav_radicand(coeffs, problem, ops):
-    rad = potential(coeffs, problem, ops) + problem.delta0
+def nodal_radicand(vals, problem, ops):
+    """F(u) + delta0 from the nodal values of u; aborts below RADICAND_FLOOR."""
+    rad = ops.quad(problem.Ftilde(vals)) + problem.delta0
     if np.any(rad < RADICAND_FLOOR):
         raise ModelViolationError(
             f"F(u) + delta0 fell below {RADICAND_FLOOR}: min {np.min(rad)}"
@@ -231,15 +256,14 @@ def sav_radicand(coeffs, problem, ops):
     return rad
 
 
+def sav_radicand(coeffs, problem, ops):
+    return nodal_radicand(ops.nodal(coeffs), problem, ops)
+
+
 def drift_core(u_hat, problem, ops):
     """Normalized drift direction b = P_K f(u_hat)/s and s = sqrt(F(u_hat)+delta0)."""
     vals = ops.nodal(u_hat)
-    rad = ops.quad(problem.Ftilde(vals)) + problem.delta0
-    if np.any(rad < RADICAND_FLOOR):
-        raise ModelViolationError(
-            f"F(u) + delta0 fell below {RADICAND_FLOOR}: min {np.min(rad)}"
-        )
-    s = np.sqrt(rad)
+    s = np.sqrt(nodal_radicand(vals, problem, ops))
     b = ops.project(problem.f(vals)) / s[..., None]
     return b, s
 

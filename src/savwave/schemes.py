@@ -17,7 +17,7 @@ independent realizations through identical arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,18 +25,20 @@ from .model import (
     apply_g_core,
     diffusion_values,
     drift_core,
-    sav_radicand,
+    nodal_radicand,
     spectral_discretization,
 )
 from .noise import sample_increment, trace_operator
 
 __all__ = [
     "BlowUpError",
+    "ENERGY_GUARD",
     "SavState",
     "StepDiagnostics",
     "RunRecord",
     "PREDICTORS",
     "SCHEMES",
+    "initial_state",
     "modified_energy",
     "state_norm",
     "pathwise_energy_residual",
@@ -49,9 +51,10 @@ __all__ = [
 PREDICTORS = ("identity", "extrapolation")
 SCHEMES = ("exponential", "midpoint")
 
-# Trajectories abort once the modified energy exceeds this (configurable in
-# run_trajectory); the value itself is arbitrary plumbing.
-DEFAULT_ENERGY_GUARD = 1e12
+# Modified energy beyond which a path counts as blown up: run_trajectory and
+# the FEM simulate command abort, Monte Carlo studies park the path.  The
+# value itself is arbitrary plumbing.
+ENERGY_GUARD = 1e12
 
 
 class BlowUpError(RuntimeError):
@@ -60,12 +63,20 @@ class BlowUpError(RuntimeError):
 
 @dataclass(frozen=True)
 class SavState:
-    """Displacement/velocity coefficients plus the scalar auxiliary variable."""
+    """Displacement/velocity coefficients plus the scalar auxiliary variable.
+
+    `vals` (nodal values of u) and `rad` (F(u) + delta0) are a cache that a
+    stepper with diagnostics on, or an initializer, hands to the next step so
+    it need not recompute them.  They must describe `u` exactly; code that
+    builds a state from modified arrays leaves them None.
+    """
 
     u: np.ndarray
     v: np.ndarray
     q: np.ndarray
     n: int = 0
+    vals: np.ndarray | None = field(default=None, repr=False, compare=False)
+    rad: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=np.float64)
@@ -139,6 +150,13 @@ def pathwise_energy_residual(state_n, state_next, g_increment, lam):
     return v_new - v_old - _dot(state_n.v, g_increment) - 0.5 * _dot(g_increment, g_increment)
 
 
+def initial_state(u, v, problem, ops):
+    """State at (u, v) with q = sqrt(F(u) + delta0), i.e. zero aux gap, and its cache seeded."""
+    vals = ops.nodal(u)
+    rad = nodal_radicand(vals, problem, ops)
+    return SavState(u, v, np.sqrt(rad), vals=vals, rad=rad)
+
+
 def _predict(u, u_prev, predictor):
     if predictor == "identity":
         return u
@@ -152,12 +170,45 @@ def _check_finite(u, v, q, n):
         raise BlowUpError(f"non-finite state produced at step {n}")
 
 
+def _step_inputs(state, dw, problem, ops, u_hat):
+    """Drift direction b, noise increment G = P_K g(u)*dW and nodal g(u) of one step.
+
+    u is synthesized once (or taken from the state's cache) and serves both
+    g(u) and, when u_hat is u, the drift f(u_hat) and F(u_hat); a diffusion
+    that is the drift (Problem.g_is_f, e.g. f = g = sine) is evaluated once.
+    Both analyses share one `project` call on the stacked [f; g*dW] values.
+    """
+    u = state.u
+    vals = ops.nodal(u) if state.vals is None else state.vals
+    if u_hat is None or u_hat is u:
+        u_vals, rad = vals, state.rad
+    else:
+        u_vals, rad = ops.nodal(u_hat), None
+    if rad is None:
+        rad = nodal_radicand(u_vals, problem, ops)
+    f_vals = problem.f(u_vals)
+    if u_vals is vals and problem.g_is_f:
+        g_vals = f_vals
+    else:
+        grad = ops.nodal_deriv(u) if problem.uses_gradient else None
+        g_vals = problem.g(vals, grad)
+    g_dw = g_vals * ops.nodal(dw)
+    if f_vals.shape != g_dw.shape:
+        f_vals, g_dw = np.broadcast_arrays(f_vals, g_dw)
+    m = g_dw.shape[-1]
+    coeffs = ops.project(np.concatenate([f_vals.reshape(-1, m), g_dw.reshape(-1, m)]))
+    drift, g_inc = coeffs.reshape((2,) + g_dw.shape[:-1] + coeffs.shape[-1:])
+    return drift / np.sqrt(rad)[..., None], g_inc, g_vals
+
+
 def _diagnostics(problem, ops, state, new_u, new_v, new_q, g_inc, denom, trace_fn, g_vals):
+    """(new state carrying nodal u_{n+1} and F(u_{n+1}) + delta0, StepDiagnostics)."""
     lam = ops.lam
     v_old = modified_energy(state.u, state.v, state.q, lam)
     v_new = modified_energy(new_u, new_v, new_q, lam)
     residual = v_new - v_old - _dot(state.v, g_inc) - 0.5 * _dot(g_inc, g_inc)
-    rad_new = sav_radicand(new_u, problem, ops)
+    vals_new = ops.nodal(new_u)
+    rad_new = nodal_radicand(vals_new, problem, ops)
     f_new = rad_new - problem.delta0
     aux_gap = np.abs(np.sqrt(rad_new) - new_q)
     v1 = 0.5 * _dot(lam * new_u, new_u) + 0.5 * _dot(new_v, new_v) + f_new
@@ -165,7 +216,8 @@ def _diagnostics(problem, ops, state, new_u, new_v, new_q, g_inc, denom, trace_f
         trace = np.full(np.shape(new_q), np.nan)
     else:
         trace = trace_fn(g_vals)
-    return StepDiagnostics(
+    new_state = SavState(new_u, new_v, new_q, state.n + 1, vals=vals_new, rad=rad_new)
+    return new_state, StepDiagnostics(
         V=v_new,
         V1=v1,
         q=new_q,
@@ -185,11 +237,16 @@ def step_exponential_sav(
     average (q_n + q_{n+1})/2 is eliminated against the q-update, leaving a
     rank-one solve with denominator 1 + 1/4 <b, a1*b> >= 1 since a1 >= 0
     mode by mode.
+
+    Cost per step: two syntheses (dW, and u or, with `diagnostics`,
+    u_{n+1}; an extrapolated u_hat adds a third), one stacked analysis of
+    [f(u_hat); g(u) dW], and one evaluation of a pointwise map that f and g
+    share.  With `diagnostics`, the nodal values of u_{n+1} and
+    F(u_{n+1}) + delta0 that they compute ride on the returned state, so
+    the next step reuses them.
     """
     u, v, q = state.u, state.v, state.q
-    g_vals = diffusion_values(u, problem, ops)
-    g_inc = apply_g_core(u, dw, problem, ops, g_vals=g_vals)
-    b, _ = drift_core(u if u_hat is None else u_hat, problem, ops)
+    b, g_inc, g_vals = _step_inputs(state, dw, problem, ops, u_hat)
 
     bu = _dot(b, u)
     gamma = (
@@ -211,13 +268,11 @@ def step_exponential_sav(
         - table.a2 * b * q_mid[..., None]
     )
     _check_finite(new_u, new_v, new_q, state.n)
-    new_state = SavState(new_u, new_v, new_q, state.n + 1)
     if not diagnostics:
-        return new_state, None
-    diag = _diagnostics(
+        return SavState(new_u, new_v, new_q, state.n + 1), None
+    return _diagnostics(
         problem, ops, state, new_u, new_v, new_q, g_inc, denom, trace_fn, g_vals
     )
-    return new_state, diag
 
 
 def step_midpoint_sav(
@@ -242,12 +297,12 @@ def step_midpoint_sav(
     (tau/2) g dW term from the displacement update (a deliberately broken
     variant: it destroys the energy identity and exists so that the check
     harness can demonstrate the term is load-bearing).
+
+    Per-step transform and pointwise cost as for step_exponential_sav.
     """
     u, v, q = state.u, state.v, state.q
     lam = ops.lam
-    g_vals = diffusion_values(u, problem, ops)
-    g_inc = apply_g_core(u, dw, problem, ops, g_vals=g_vals)
-    b, _ = drift_core(u if u_hat is None else u_hat, problem, ops)
+    b, g_inc, g_vals = _step_inputs(state, dw, problem, ops, u_hat)
 
     tau2 = tau * tau
     m_inv = 1.0 / (1.0 + 0.25 * tau2 * lam)
@@ -270,13 +325,11 @@ def step_midpoint_sav(
     new_v = (2.0 / tau) * (new_u - u) - v - (g_inc if balancing else 0.0)
     new_q = q + 0.5 * (_dot(b, new_u) - bu)
     _check_finite(new_u, new_v, new_q, state.n)
-    new_state = SavState(new_u, new_v, new_q, state.n + 1)
     if not diagnostics:
-        return new_state, None
-    diag = _diagnostics(
+        return SavState(new_u, new_v, new_q, state.n + 1), None
+    return _diagnostics(
         problem, ops, state, new_u, new_v, new_q, g_inc, denom, trace_fn, g_vals
     )
-    return new_state, diag
 
 
 def substitution_residual(
@@ -334,7 +387,7 @@ def run_trajectory(
     n_steps=128,
     rng=None,
     ops=None,
-    guard=DEFAULT_ENERGY_GUARD,
+    guard=ENERGY_GUARD,
 ):
     """Integrate one path and return a RunRecord per step, initial state included.
 
@@ -359,12 +412,11 @@ def run_trajectory(
 
     u = problem.u0.coeffs.copy()
     v = problem.v0.coeffs.copy()
-    rad0 = sav_radicand(u, problem, ops)
-    state = SavState(u, v, np.sqrt(rad0))
+    state = initial_state(u, v, problem, ops)
     u_prev = u.copy()
 
     lam = ops.lam
-    f0 = float(rad0 - problem.delta0)
+    f0 = float(state.rad - problem.delta0)
     v_mod = float(modified_energy(u, v, state.q, lam))
     g0_vals = diffusion_values(u, problem, ops)
     records = [

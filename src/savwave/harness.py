@@ -5,7 +5,10 @@ chunks of consecutive realization indices, each chunk is a pure function of
 (study config, chunk index), and partial results are combined in chunk
 order, so the output is bit-identical no matter how many workers execute
 the chunks.  All trajectory arithmetic is batched over the realizations of
-a chunk through arrays of shape (batch, modes).
+a chunk through arrays of shape (batch, modes).  A study sends every chunk,
+of every scheme or step size it compares, through one process pool.  Each
+chunk streams its noise through `noise.increments`, so it holds O(batch *
+modes) memory whatever its step count.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 from . import fem as fem_mod
 from .model import make_problem, sav_radicand, spectral_discretization
-from .noise import RngStream, trace as cov_trace, trace_operator
+from .noise import RngStream, increments, trace as cov_trace, trace_operator
 from .schemes import (
     ENERGY_GUARD,
     SavState,
@@ -258,15 +261,20 @@ def _chunk_bounds(total, chunk, index):
     return lo, hi
 
 
-def _n_chunks(total, chunk):
-    return (total + chunk - 1) // chunk
+def _map_chunks(fn, study, workers, keys=(None,)):
+    """fn(chunk) for every chunk of `study`, or fn(key, chunk) for every key and chunk.
 
-
-def _map_chunks(fn, n_chunks, workers):
-    if workers <= 1 or n_chunks <= 1:
-        return [fn(i) for i in range(n_chunks)]
-    with ProcessPoolExecutor(max_workers=min(workers, n_chunks)) as pool:
-        return list(pool.map(fn, range(n_chunks)))
+    All tasks share one pool.  The results come back as one list per key, in
+    chunk order, whatever the worker count.
+    """
+    n_chunks = (study.realizations + study.chunk - 1) // study.chunk
+    tasks = [(i,) if key is None else (key, i) for key in keys for i in range(n_chunks)]
+    if workers <= 1 or len(tasks) <= 1:
+        parts = [fn(*task) for task in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+            parts = list(pool.map(fn, *zip(*tasks)))
+    return [parts[j:j + n_chunks] for j in range(0, len(parts), n_chunks)]
 
 
 # ---------------------------------------------------------------------------
@@ -298,24 +306,15 @@ def _convergence_chunk(study, scheme, chunk_idx):
     excluded = np.zeros(batch, dtype=bool)
 
     streams = [RngStream(study.seed, lo + b) for b in range(batch)]
-    scale = np.sqrt(problem.noise.q * tau_ref)
-    window = 1024
-    dws = np.empty((min(window, n_fine), batch, study.modes))
-    for w0 in range(0, n_fine, window):
-        nw = min(window, n_fine - w0)
-        for b, stream in enumerate(streams):
-            dws[:nw, b, :] = stream.normals((nw, study.modes)) * scale
-        for j in range(nw):
-            k = w0 + j
-            dw = dws[j]
-            ref.step(dw)
-            excluded = ref.sanitize(excluded)
-            for lvl, acc, m in zip(levels, accums, multiples):
-                acc += dw
-                if (k + 1) % m == 0:
-                    lvl.step(acc)
-                    excluded = lvl.sanitize(excluded)
-                    acc[:] = 0.0
+    for k, dw in enumerate(increments(problem.noise, tau_ref, n_fine, streams)):
+        ref.step(dw)
+        excluded = ref.sanitize(excluded)
+        for lvl, acc, m in zip(levels, accums, multiples):
+            acc += dw
+            if (k + 1) % m == 0:
+                lvl.step(acc)
+                excluded = lvl.sanitize(excluded)
+                acc[:] = 0.0
 
     sq_errors = np.empty((len(levels), batch))
     for i, lvl in enumerate(levels):
@@ -349,10 +348,9 @@ class ConvergenceResult:
 def strong_convergence(study, workers=1):
     """RMS terminal error per ladder step size, per scheme, on coupled paths."""
     results = []
-    n_chunks = _n_chunks(study.realizations, study.chunk)
     taus = np.array([2.0**-e for e in study.tau_exps])
-    for scheme in study.schemes:
-        parts = _map_chunks(partial(_convergence_chunk, study, scheme), n_chunks, workers)
+    per_scheme = _map_chunks(partial(_convergence_chunk, study), study, workers, study.schemes)
+    for scheme, parts in zip(study.schemes, per_scheme):
         sq = np.concatenate([p[0] for p in parts], axis=1)
         excluded = np.concatenate([p[1] for p in parts])
         keep = ~excluded
@@ -387,19 +385,15 @@ def _energy_chunk(study, chunk_idx):
         study.scheme, study.tau, problem, ops,
         _batched_initial(problem, ops, batch), study.predictor, trace_fn=trace_fn,
     )
-    scale = np.sqrt(problem.noise.q * study.tau)
     sum_v = np.zeros(n_steps + 1)
     sum_v2 = np.zeros(n_steps + 1)
     sum_trace = np.zeros(n_steps)
     v = integ.energy()
     sum_v[0] = np.sum(v)
     sum_v2[0] = np.sum(v**2)
-    draws = np.empty((n_steps, batch, study.modes))
     streams = [RngStream(study.seed, lo + b) for b in range(batch)]
-    for b, stream in enumerate(streams):
-        draws[:, b, :] = stream.normals((n_steps, study.modes)) * scale
-    for n in range(n_steps):
-        diag = integ.step(draws[n], diagnostics=True)
+    for n, dw in enumerate(increments(problem.noise, study.tau, n_steps, streams)):
+        diag = integ.step(dw, diagnostics=True)
         sum_v[n + 1] = np.sum(diag.V)
         sum_v2[n + 1] = np.sum(diag.V**2)
         sum_trace[n] = np.sum(diag.trace_term)
@@ -423,8 +417,7 @@ def energy_evolution(study, workers=1):
     term is averaged over the same realizations.
     """
     n_steps = round(study.T / study.tau)
-    n_chunks = _n_chunks(study.realizations, study.chunk)
-    parts = _map_chunks(partial(_energy_chunk, study), n_chunks, workers)
+    parts, = _map_chunks(partial(_energy_chunk, study), study, workers)
     sum_v = np.zeros(n_steps + 1)
     sum_v2 = np.zeros(n_steps + 1)
     sum_trace = np.zeros(n_steps)
@@ -472,10 +465,8 @@ def _aux_gap_chunk(study, tau_exp, chunk_idx):
         _batched_initial(problem, ops, batch), study.predictor,
     )
     streams = [RngStream(study.seed, lo + b) for b in range(batch)]
-    scale = np.sqrt(problem.noise.q * tau)
     max_gap = np.zeros(batch)
-    for n in range(n_steps):
-        dw = np.stack([s.normals(study.modes) for s in streams]) * scale
+    for dw in increments(problem.noise, tau, n_steps, streams):
         diag = integ.step(dw, diagnostics=True)
         max_gap = np.maximum(max_gap, diag.aux_gap)
     return np.sum(max_gap)
@@ -495,12 +486,8 @@ def aux_gap_scaling(study, workers=1):
     q_0 starts with zero gap, so the reported gap is pure scheme drift; the
     halving ratio between consecutive dyadic step sizes measures its order.
     """
-    means = []
-    for e in study.tau_exps:
-        n_chunks = _n_chunks(study.realizations, study.chunk)
-        parts = _map_chunks(partial(_aux_gap_chunk, study, e), n_chunks, workers)
-        means.append(sum(parts) / study.realizations)
-    means = np.array(means)
+    per_tau = _map_chunks(partial(_aux_gap_chunk, study), study, workers, study.tau_exps)
+    means = np.array([sum(parts) / study.realizations for parts in per_tau])
     if means.size > 1:
         with np.errstate(invalid="ignore", divide="ignore"):
             ratios = means[:-1] / means[1:]
@@ -544,9 +531,7 @@ def _spatial_chunk(study, chunk_idx):
 
     n_steps = round(study.T / study.tau)
     streams = [RngStream(study.seed, lo + b) for b in range(batch)]
-    scale = np.sqrt(problem.noise.q * study.tau)
-    for n in range(n_steps):
-        dw = np.stack([s.normals(kref) for s in streams]) * scale
+    for dw in increments(problem.noise, study.tau, n_steps, streams):
         ref.step(dw)
         for run, cmap in zip(fem_runs, noise_maps):
             run.step(dw @ cmap.T)
@@ -581,8 +566,7 @@ def spatial_refinement(study, workers=1):
     increments evaluated on each mesh), so the refinement trend is not
     clouded by independent sampling noise.
     """
-    n_chunks = _n_chunks(study.realizations, study.chunk)
-    parts = _map_chunks(partial(_spatial_chunk, study), n_chunks, workers)
+    parts, = _map_chunks(partial(_spatial_chunk, study), study, workers)
     sq = np.concatenate(parts, axis=1)
     rms = np.sqrt(sq.mean(axis=1))
     widths = np.array([2.0**-e for e in study.h_exps])
@@ -618,7 +602,6 @@ def _weak_energy_chunk(study, chunk_idx):
 
     n_steps = round(study.T / study.tau)
     streams = [RngStream(study.seed, lo + b) for b in range(batch)]
-    scale = np.sqrt(problem.noise.q * study.tau)
     sum_h = np.zeros(n_steps + 1)
     sum_v1 = np.zeros(n_steps + 1)
     sum_h[0] = np.sum(femi.energy())
@@ -627,8 +610,7 @@ def _weak_energy_chunk(study, chunk_idx):
             + 0.5 * np.einsum("bk,bk->b", ref.state.v, ref.state.v)
             + rad0 - problem.delta0)
     sum_v1[0] = np.sum(v1_0)
-    for n in range(n_steps):
-        dw = np.stack([s.normals(kref) for s in streams]) * scale
+    for n, dw in enumerate(increments(problem.noise, study.tau, n_steps, streams)):
         diag_ref = ref.step(dw, diagnostics=True)
         femi.step(dw @ cmap.T)
         sum_h[n + 1] = np.sum(femi.energy())
@@ -661,8 +643,7 @@ def weak_energy_error(study, workers=1):
     err0 (it contains the constant delta0 carried by q^2).
     """
     n_steps = round(study.T / study.tau)
-    n_chunks = _n_chunks(study.realizations, study.chunk)
-    parts = _map_chunks(partial(_weak_energy_chunk, study), n_chunks, workers)
+    parts, = _map_chunks(partial(_weak_energy_chunk, study), study, workers)
     sum_h = np.zeros(n_steps + 1)
     sum_v1 = np.zeros(n_steps + 1)
     for ph, pv in parts:

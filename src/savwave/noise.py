@@ -6,6 +6,10 @@ q_k * tau.  Streams are keyed by (master seed, realization index) so that
 Monte Carlo results never depend on scheduling, and coarse increments for
 convergence studies are defined as in-order sums of fine increments of the
 same path.
+
+Monte Carlo chunks draw through `increments`, which streams a batch of
+paths window by window: a chunk holds O(batch * K) noise whatever its step
+count, and every row is bit-identical to the matching `sample_block` row.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ __all__ = [
     "covariance_tail",
     "sample_increment",
     "sample_block",
+    "increments",
     "coupled_path",
     "hs_norm_sq_of_g",
     "trace_operator",
@@ -123,6 +128,33 @@ def sample_block(cov, tau, n_steps, rng):
         raise ValueError(f"step size must be positive, got {tau}")
     xi = rng.normals((n_steps, cov.modes))
     return np.sqrt(cov.q * tau) * xi
+
+
+# Normals per stream per window in `increments`: Philox `standard_normal`
+# reaches its bulk rate at about 4096 normals per call.
+_NORMALS_PER_DRAW = 4096
+
+
+def increments(cov, tau, n_steps, streams):
+    """Yield each step's (batch, K) increments, row b drawn from streams[b].
+
+    Row b of step n equals `sample_block(cov, tau, n_steps, streams[b])[n]`
+    bit for bit: each stream is drawn ceil(_NORMALS_PER_DRAW / K) steps at a
+    time into one reused (window, batch, K) buffer.  The yielded array is a
+    view of that buffer and is overwritten by the next window, so callers
+    must not keep it.  Streams advance a whole window ahead of the step
+    being yielded.
+    """
+    if tau <= 0:
+        raise ValueError(f"step size must be positive, got {tau}")
+    scale = np.sqrt(cov.q * tau)
+    window = max(1, min(-(-_NORMALS_PER_DRAW // cov.modes), n_steps))
+    buf = np.empty((window, len(streams), cov.modes))
+    for w0 in range(0, n_steps, window):
+        nw = min(window, n_steps - w0)
+        for b, stream in enumerate(streams):
+            np.multiply(stream.normals((nw, cov.modes)), scale, out=buf[:nw, b])
+        yield from buf[:nw]
 
 
 def _check_dyadic(m):

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from savwave import harness, noise
 from savwave.harness import (
     AuxGapStudy,
     ConvergenceStudy,
@@ -11,11 +14,15 @@ from savwave.harness import (
     aux_gap_scaling,
     energy_evolution,
     fit_loglog,
+    _convergence_chunk,
+    _energy_chunk,
     invariant_suite,
     spatial_refinement,
     strong_convergence,
     weak_energy_error,
 )
+from savwave.model import make_problem
+from savwave.noise import RngStream
 
 MINI = ConvergenceStudy(
     f="sine", g="sine", modes=16, T=0.5, tau_exps=(4, 5, 6), ref_exp=9,
@@ -61,6 +68,45 @@ class TestStrongConvergence:
         assert np.array_equal(a.rms_error, b.rms_error)
         assert np.array_equal(a.stderr, b.stderr)
 
+    def test_one_pool_keeps_scheme_order_across_workers(self):
+        study = type(MINI)(**{**MINI.__dict__, "schemes": ("exponential", "midpoint")})
+        a = strong_convergence(study, workers=1).per_scheme
+        b = strong_convergence(study, workers=3).per_scheme
+        assert [r.scheme for r in b] == ["exponential", "midpoint"]
+        for ra, rb in zip(a, b):
+            assert np.array_equal(ra.rms_error, rb.rms_error)
+            assert np.array_equal(ra.stderr, rb.stderr)
+
+    def test_chunk_steps_exactly_the_coupled_path_increments(self, monkeypatch):
+        # Every increment handed to the reference and to each ladder level
+        # must be the fine draw, or the in-order sum of its fine draws, that
+        # noise.coupled_path defines for that path.  A 24-step noise window
+        # divides neither the 256 fine steps nor any ladder multiple.
+        study = type(MINI)(**{**MINI.__dict__, "realizations": 6, "chunk": 3})
+        monkeypatch.setattr(noise, "_NORMALS_PER_DRAW", 24 * study.modes)
+        seen = {}
+        step = harness._Integrator.step
+
+        def recording_step(self, dw, diagnostics=False):
+            seen.setdefault(self.tau, []).append(dw.copy())
+            return step(self, dw, diagnostics)
+
+        monkeypatch.setattr(harness._Integrator, "step", recording_step)
+        _convergence_chunk(study, "exponential", 1)
+
+        tau_ref = 2.0**-study.ref_exp
+        n_fine = round(study.T / tau_ref)
+        multiples = [2 ** (study.ref_exp - e) for e in study.tau_exps]
+        cov = make_problem(f=study.f, g=study.g, modes=study.modes,
+                           noise_decay=study.noise_decay).noise
+        assert sorted(seen) == sorted([tau_ref, *(2.0**-e for e in study.tau_exps)])
+        for b in range(3):
+            paths = noise.coupled_path(cov, tau_ref, n_fine, [1, *multiples],
+                                       RngStream(study.seed, 3 + b))
+            assert np.array_equal(np.array(seen[tau_ref])[:, b], paths[1])
+            for e, m in zip(study.tau_exps, multiples):
+                assert np.array_equal(np.array(seen[2.0**-e])[:, b], paths[m])
+
     def test_h_norm_errors_dominate_l2(self):
         l2 = strong_convergence(MINI).per_scheme[0]
         hn = strong_convergence(type(MINI)(**{**MINI.__dict__, "norm": "h"})).per_scheme[0]
@@ -103,6 +149,25 @@ class TestEnergyEvolution:
         dev = np.abs(res.mean_V - res.predicted_V)
         assert np.all(dev[1:] <= 4.0 * np.maximum(res.stderr_V[1:], 1e-12))
 
+    def test_chunk_memory_does_not_grow_with_steps(self):
+        # Noise is streamed through one window of ceil(4096/K) = 64 steps, so
+        # 4x the steps must not raise the traced peak, and the peak stays
+        # below 128 (batch, K) float arrays: the window, the state and the
+        # step temporaries, and the K x K setup.
+        batch, modes = 32, 64
+        peaks = []
+        for T in (0.5, 2.0):  # 64 and 256 steps
+            study = EnergyStudy(f="sine", g="sine", modes=modes, T=T, tau=2.0**-7,
+                                realizations=batch, chunk=batch)
+            tracemalloc.start()
+            try:
+                _energy_chunk(study, 0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
+        assert peaks[1] < 128 * batch * modes * 8
+
     def test_worker_determinism(self):
         study = EnergyStudy(f="linear", g="sine", modes=16, T=0.25, tau=2.0**-5,
                             realizations=40, seed=3, chunk=10)
@@ -118,6 +183,14 @@ class TestAuxGap:
                             realizations=4, seed=1, chunk=4)
         res = aux_gap_scaling(study)
         assert np.all(res.mean_max_gap == 0.0)
+
+    def test_one_pool_keeps_step_order_across_workers(self):
+        study = AuxGapStudy(f="sine", g="sine", modes=16, T=0.25, tau_exps=(5, 6, 7),
+                            realizations=6, seed=2, chunk=3)
+        a = aux_gap_scaling(study, workers=1)
+        b = aux_gap_scaling(study, workers=3)
+        assert np.array_equal(a.mean_max_gap, b.mean_max_gap)
+        assert np.all(np.diff(a.mean_max_gap) < 0)
 
     def test_deterministic_drift_scales_linearly(self):
         study = AuxGapStudy(f="sine", g="zero", modes=32, T=1.0, tau_exps=(5, 6, 7, 8),

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from savwave import noise
 from savwave.model import uniform_grid
 from savwave.noise import (
     CovarianceSpec,
@@ -12,6 +13,7 @@ from savwave.noise import (
     coupled_path,
     covariance_tail,
     hs_norm_sq_of_g,
+    increments,
     power_covariance,
     sample_block,
     sample_increment,
@@ -134,6 +136,33 @@ class TestCoupling:
     def test_non_dividing_rejected(self):
         with pytest.raises(ValueError):
             coupled_path(power_covariance(4), 0.01, 10, [4], RngStream(0))
+
+
+class TestIncrements:
+    @pytest.mark.parametrize("window", [1, 4, 5, 20])  # one step, divisor, non-divisor, > n_steps
+    def test_rows_match_per_stream_blocks_bitwise(self, monkeypatch, window):
+        cov = power_covariance(3)
+        n_steps = 12
+        monkeypatch.setattr(noise, "_NORMALS_PER_DRAW", window * cov.modes)
+        streams = [RngStream(17, b) for b in range(4)]
+        # the yielded array is overwritten by the next window: keep copies
+        steps = [dw.copy() for dw in increments(cov, 0.03, n_steps, streams)]
+        assert len(steps) == n_steps
+        for b, stream in enumerate(streams):
+            oracle = RngStream(17, b)
+            block = sample_block(cov, 0.03, n_steps, oracle)
+            rows = np.array([dw[b] for dw in steps])
+            assert np.array_equal(rows, block)
+            assert stream.counter == oracle.counter
+
+    def test_yields_nothing_for_zero_steps(self):
+        stream = RngStream(1, 0)
+        assert list(increments(power_covariance(4), 0.1, 0, [stream])) == []
+        assert stream.counter == 0
+
+    def test_rejects_nonpositive_step(self):
+        with pytest.raises(ValueError):
+            next(increments(power_covariance(4), 0.0, 3, [RngStream(1)]))
 
 
 class TestHilbertSchmidt:

@@ -19,7 +19,6 @@ from .noise import (
     NoiseIncrement,
     RngStream,
     coupled_path,
-    hs_norm_sq_of_g,
     power_covariance,
     sample_increment,
     trace,

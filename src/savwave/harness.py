@@ -1,18 +1,22 @@
 """Monte Carlo experiment drivers: convergence, energy growth, structure checks.
 
 Realizations are the unit of parallelism.  Work is split into fixed-size
-chunks of consecutive realization indices, each chunk is a pure function of
-(study config, chunk index), and partial results are combined in chunk
-order, so the output is bit-identical no matter how many workers execute
-the chunks.  All trajectory arithmetic is batched over the realizations of
-a chunk through arrays of shape (batch, modes).  A study sends every chunk,
-of every scheme or step size it compares, through one process pool.  Each
-chunk streams its noise through `noise.increments`, so it holds O(batch *
-modes) memory whatever its step count.
+chunks of consecutive realization indices; each chunk's partial result is a
+pure function of (study config, chunk index), and partial results are
+combined in chunk order, so the output is bit-identical no matter how many
+workers run the study.  A pool task steps a group of consecutive chunks as
+one (rows, modes) array, as many as keep its nodal arrays within
+`_GROUP_VALUES` values.  The groups depend on the study alone, never on the
+worker count, and sums stay per chunk, so grouping changes no summation
+order.  A study sends every group, of every scheme or step size it compares,
+through one process pool.  Each task streams its noise through
+`noise.increments`, so it holds O(rows * modes) memory whatever its step
+count.
 """
 
 from __future__ import annotations
 
+import ctypes
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
@@ -255,35 +259,82 @@ def _batched_initial(problem, ops, batch):
     return initial_state(u0, v0, problem, ops)
 
 
-def _chunk_bounds(total, chunk, index):
-    lo = index * chunk
-    hi = min(total, lo + chunk)
-    return lo, hi
+# Values in one (rows, nodes) nodal array of a pool task: consecutive chunks
+# are stepped as one array while rows x nodes stays within 2^15 float64
+# values (256 KiB).  Small batches cost mostly per-call overhead (at K = 64 a
+# path-step took 11.9 us at 25 rows and 7.5 us at 200, one BLAS thread);
+# at K = 256 the cost was flat from 25 rows on.
+_GROUP_VALUES = 2**15
 
 
-def _map_chunks(fn, study, workers, keys=(None,)):
-    """fn(chunk) for every chunk of `study`, or fn(key, chunk) for every key and chunk.
+def _group(study, first, stop=None):
+    """Streams of chunks first..stop-1 (default: chunk `first` alone) and each chunk's rows."""
+    stop = first + 1 if stop is None else stop
+    lo = first * study.chunk
+    hi = min(study.realizations, stop * study.chunk)
+    streams = [RngStream(study.seed, i) for i in range(lo, hi)]
+    spans = [slice(a, min(a + study.chunk, hi)) for a in range(0, hi - lo, study.chunk)]
+    return streams, spans
 
-    All tasks share one pool.  The results come back as one list per key, in
-    chunk order, whatever the worker count.
+
+def _chunk_sums(values, spans):
+    return [np.sum(values[s]) for s in spans]
+
+
+def _one_blas_thread():
+    """Pool-worker initializer: one BLAS thread per worker.
+
+    A group's transforms are big enough for OpenBLAS to thread them, and
+    workers that each do so outnumber the cores and spin.  Acts on every
+    OpenBLAS the process has loaded; other BLAS builds keep their setting.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split()[-1] for line in maps if "openblas" in line}
+    except OSError:
+        return
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in ("openblas_set_num_threads", "scipy_openblas_set_num_threads64_",
+                     "scipy_openblas_set_num_threads"):
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                break
+
+
+def _map_chunks(fn, study, modes, workers, keys=(None,)):
+    """Every chunk of `study`, per key, as one list of chunk results in chunk order.
+
+    Each task calls fn(first, stop) or fn(key, first, stop) on a group of
+    consecutive chunks, which it steps as one array on the dealiased grid of
+    `modes` sine modes, and returns one result per chunk.  A group holds as
+    many chunks as keep rows x (2 * modes + 1) within `_GROUP_VALUES`, at
+    least one; the worker count plays no part.  All tasks share one pool,
+    whose workers run one BLAS thread each.
     """
     n_chunks = (study.realizations + study.chunk - 1) // study.chunk
-    tasks = [(i,) if key is None else (key, i) for key in keys for i in range(n_chunks)]
+    per_task = max(1, _GROUP_VALUES // (study.chunk * (2 * modes + 1)))
+    groups = [(c, min(c + per_task, n_chunks)) for c in range(0, n_chunks, per_task)]
+    tasks = [g if key is None else (key, *g) for key in keys for g in groups]
     if workers <= 1 or len(tasks) <= 1:
         parts = [fn(*task) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks)),
+                                 initializer=_one_blas_thread) as pool:
             parts = list(pool.map(fn, *zip(*tasks)))
-    return [parts[j:j + n_chunks] for j in range(0, len(parts), n_chunks)]
+    flat = [chunk for part in parts for chunk in part]
+    return [flat[j:j + n_chunks] for j in range(0, len(flat), n_chunks)]
 
 
 # ---------------------------------------------------------------------------
 # Strong temporal convergence.
 
 
-def _convergence_chunk(study, scheme, chunk_idx):
-    lo, hi = _chunk_bounds(study.realizations, study.chunk, chunk_idx)
-    batch = hi - lo
+def _convergence_chunk(study, scheme, first, stop=None):
+    streams, spans = _group(study, first, stop)
+    batch = len(streams)
     problem = make_problem(
         f=study.f, g=study.g, sigma=study.sigma, delta0=study.delta0,
         modes=study.modes, noise_decay=study.noise_decay,
@@ -305,7 +356,6 @@ def _convergence_chunk(study, scheme, chunk_idx):
     accums = [np.zeros((batch, study.modes)) for _ in levels]
     excluded = np.zeros(batch, dtype=bool)
 
-    streams = [RngStream(study.seed, lo + b) for b in range(batch)]
     for k, dw in enumerate(increments(problem.noise, tau_ref, n_fine, streams)):
         ref.step(dw)
         excluded = ref.sanitize(excluded)
@@ -325,7 +375,7 @@ def _convergence_chunk(study, scheme, chunk_idx):
         else:
             err2 = np.einsum("bk,bk->b", du, du)
         sq_errors[i] = err2
-    return sq_errors, excluded
+    return [(sq_errors[:, s], excluded[s]) for s in spans]
 
 
 @dataclass(frozen=True)
@@ -349,7 +399,8 @@ def strong_convergence(study, workers=1):
     """RMS terminal error per ladder step size, per scheme, on coupled paths."""
     results = []
     taus = np.array([2.0**-e for e in study.tau_exps])
-    per_scheme = _map_chunks(partial(_convergence_chunk, study), study, workers, study.schemes)
+    per_scheme = _map_chunks(partial(_convergence_chunk, study), study, study.modes, workers,
+                             study.schemes)
     for scheme, parts in zip(study.schemes, per_scheme):
         sq = np.concatenate([p[0] for p in parts], axis=1)
         excluded = np.concatenate([p[1] for p in parts])
@@ -371,9 +422,9 @@ def strong_convergence(study, workers=1):
 # Energy evolution.
 
 
-def _energy_chunk(study, chunk_idx):
-    lo, hi = _chunk_bounds(study.realizations, study.chunk, chunk_idx)
-    batch = hi - lo
+def _energy_chunk(study, first, stop=None):
+    streams, spans = _group(study, first, stop)
+    batch = len(streams)
     problem = make_problem(
         f=study.f, g=study.g, sigma=study.sigma, delta0=study.delta0,
         modes=study.modes, noise_decay=study.noise_decay,
@@ -385,19 +436,18 @@ def _energy_chunk(study, chunk_idx):
         study.scheme, study.tau, problem, ops,
         _batched_initial(problem, ops, batch), study.predictor, trace_fn=trace_fn,
     )
-    sum_v = np.zeros(n_steps + 1)
-    sum_v2 = np.zeros(n_steps + 1)
-    sum_trace = np.zeros(n_steps)
+    sum_v = np.zeros((len(spans), n_steps + 1))
+    sum_v2 = np.zeros((len(spans), n_steps + 1))
+    sum_trace = np.zeros((len(spans), n_steps))
     v = integ.energy()
-    sum_v[0] = np.sum(v)
-    sum_v2[0] = np.sum(v**2)
-    streams = [RngStream(study.seed, lo + b) for b in range(batch)]
+    sum_v[:, 0] = _chunk_sums(v, spans)
+    sum_v2[:, 0] = _chunk_sums(v**2, spans)
     for n, dw in enumerate(increments(problem.noise, study.tau, n_steps, streams)):
         diag = integ.step(dw, diagnostics=True)
-        sum_v[n + 1] = np.sum(diag.V)
-        sum_v2[n + 1] = np.sum(diag.V**2)
-        sum_trace[n] = np.sum(diag.trace_term)
-    return sum_v, sum_v2, sum_trace
+        sum_v[:, n + 1] = _chunk_sums(diag.V, spans)
+        sum_v2[:, n + 1] = _chunk_sums(diag.V**2, spans)
+        sum_trace[:, n] = _chunk_sums(diag.trace_term, spans)
+    return list(zip(sum_v, sum_v2, sum_trace))
 
 
 @dataclass(frozen=True)
@@ -417,7 +467,7 @@ def energy_evolution(study, workers=1):
     term is averaged over the same realizations.
     """
     n_steps = round(study.T / study.tau)
-    parts, = _map_chunks(partial(_energy_chunk, study), study, workers)
+    parts, = _map_chunks(partial(_energy_chunk, study), study, study.modes, workers)
     sum_v = np.zeros(n_steps + 1)
     sum_v2 = np.zeros(n_steps + 1)
     sum_trace = np.zeros(n_steps)
@@ -450,9 +500,9 @@ def energy_evolution(study, workers=1):
 # Auxiliary-variable gap scaling.
 
 
-def _aux_gap_chunk(study, tau_exp, chunk_idx):
-    lo, hi = _chunk_bounds(study.realizations, study.chunk, chunk_idx)
-    batch = hi - lo
+def _aux_gap_chunk(study, tau_exp, first, stop=None):
+    streams, spans = _group(study, first, stop)
+    batch = len(streams)
     problem = make_problem(
         f=study.f, g=study.g, sigma=study.sigma, delta0=study.delta0,
         modes=study.modes, noise_decay=study.noise_decay,
@@ -464,12 +514,11 @@ def _aux_gap_chunk(study, tau_exp, chunk_idx):
         study.scheme, tau, problem, ops,
         _batched_initial(problem, ops, batch), study.predictor,
     )
-    streams = [RngStream(study.seed, lo + b) for b in range(batch)]
     max_gap = np.zeros(batch)
     for dw in increments(problem.noise, tau, n_steps, streams):
         diag = integ.step(dw, diagnostics=True)
         max_gap = np.maximum(max_gap, diag.aux_gap)
-    return np.sum(max_gap)
+    return _chunk_sums(max_gap, spans)
 
 
 @dataclass(frozen=True)
@@ -486,7 +535,8 @@ def aux_gap_scaling(study, workers=1):
     q_0 starts with zero gap, so the reported gap is pure scheme drift; the
     halving ratio between consecutive dyadic step sizes measures its order.
     """
-    per_tau = _map_chunks(partial(_aux_gap_chunk, study), study, workers, study.tau_exps)
+    per_tau = _map_chunks(partial(_aux_gap_chunk, study), study, study.modes, workers,
+                          study.tau_exps)
     means = np.array([sum(parts) / study.realizations for parts in per_tau])
     if means.size > 1:
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -501,9 +551,9 @@ def aux_gap_scaling(study, workers=1):
 # Element-space refinement against the sine reference.
 
 
-def _spatial_chunk(study, chunk_idx):
-    lo, hi = _chunk_bounds(study.realizations, study.chunk, chunk_idx)
-    batch = hi - lo
+def _spatial_chunk(study, first, stop=None):
+    streams, spans = _group(study, first, stop)
+    batch = len(streams)
     kref = study.ref_modes
     problem = make_problem(
         f=study.f, g=study.g, sigma=study.sigma, delta0=study.delta0,
@@ -530,7 +580,6 @@ def _spatial_chunk(study, chunk_idx):
         noise_maps.append(fem_mod.noise_projection_matrix(system, kref))
 
     n_steps = round(study.T / study.tau)
-    streams = [RngStream(study.seed, lo + b) for b in range(batch)]
     for dw in increments(problem.noise, study.tau, n_steps, streams):
         ref.step(dw)
         for run, cmap in zip(fem_runs, noise_maps):
@@ -547,8 +596,8 @@ def _spatial_chunk(study, chunk_idx):
     for i, (system, run) in enumerate(zip(systems, fem_runs)):
         interp = fem_mod.linear_interp_matrix(system.x, xf)
         vals = run.state.u @ system.discretization.synth.T @ interp.T
-        sq_errors[i] = ((ref_vals - vals) ** 2) @ wf
-    return sq_errors
+        sq_errors[i] = np.einsum("bm,m->b", (ref_vals - vals) ** 2, wf)
+    return [sq_errors[:, s] for s in spans]
 
 
 @dataclass(frozen=True)
@@ -566,7 +615,7 @@ def spatial_refinement(study, workers=1):
     increments evaluated on each mesh), so the refinement trend is not
     clouded by independent sampling noise.
     """
-    parts, = _map_chunks(partial(_spatial_chunk, study), study, workers)
+    parts, = _map_chunks(partial(_spatial_chunk, study), study, study.ref_modes, workers)
     sq = np.concatenate(parts, axis=1)
     rms = np.sqrt(sq.mean(axis=1))
     widths = np.array([2.0**-e for e in study.h_exps])
@@ -578,9 +627,9 @@ def spatial_refinement(study, workers=1):
 # Weak energy gap between the element space and the sine reference.
 
 
-def _weak_energy_chunk(study, chunk_idx):
-    lo, hi = _chunk_bounds(study.realizations, study.chunk, chunk_idx)
-    batch = hi - lo
+def _weak_energy_chunk(study, first, stop=None):
+    streams, spans = _group(study, first, stop)
+    batch = len(streams)
     kref = study.ref_modes
     problem = make_problem(
         f=study.f, g=study.g, sigma=study.sigma, delta0=study.delta0,
@@ -601,21 +650,20 @@ def _weak_energy_chunk(study, chunk_idx):
     cmap = fem_mod.noise_projection_matrix(system, kref)
 
     n_steps = round(study.T / study.tau)
-    streams = [RngStream(study.seed, lo + b) for b in range(batch)]
-    sum_h = np.zeros(n_steps + 1)
-    sum_v1 = np.zeros(n_steps + 1)
-    sum_h[0] = np.sum(femi.energy())
+    sum_h = np.zeros((len(spans), n_steps + 1))
+    sum_v1 = np.zeros((len(spans), n_steps + 1))
+    sum_h[:, 0] = _chunk_sums(femi.energy(), spans)
     rad0 = sav_radicand(ref.state.u, problem, ops_ref)
     v1_0 = (0.5 * np.einsum("bk,bk->b", ops_ref.lam * ref.state.u, ref.state.u)
             + 0.5 * np.einsum("bk,bk->b", ref.state.v, ref.state.v)
             + rad0 - problem.delta0)
-    sum_v1[0] = np.sum(v1_0)
+    sum_v1[:, 0] = _chunk_sums(v1_0, spans)
     for n, dw in enumerate(increments(problem.noise, study.tau, n_steps, streams)):
         diag_ref = ref.step(dw, diagnostics=True)
         femi.step(dw @ cmap.T)
-        sum_h[n + 1] = np.sum(femi.energy())
-        sum_v1[n + 1] = np.sum(diag_ref.V1)
-    return sum_h, sum_v1
+        sum_h[:, n + 1] = _chunk_sums(femi.energy(), spans)
+        sum_v1[:, n + 1] = _chunk_sums(diag_ref.V1, spans)
+    return list(zip(sum_h, sum_v1))
 
 
 @dataclass(frozen=True)
@@ -643,7 +691,7 @@ def weak_energy_error(study, workers=1):
     err0 (it contains the constant delta0 carried by q^2).
     """
     n_steps = round(study.T / study.tau)
-    parts, = _map_chunks(partial(_weak_energy_chunk, study), study, workers)
+    parts, = _map_chunks(partial(_weak_energy_chunk, study), study, study.ref_modes, workers)
     sum_h = np.zeros(n_steps + 1)
     sum_v1 = np.zeros(n_steps + 1)
     for ph, pv in parts:

@@ -113,7 +113,9 @@ class Discretization:
         return values @ self.analysis.T
 
     def quad(self, values):
-        return values @ self.weights
+        # A row-wise reduction: a GEMV gives a row different round-off
+        # depending on which rows share its array.
+        return np.einsum("...m,m->...", values, self.weights)
 
 
 def spectral_discretization(modes, grid_factor=2, grid_points=None):

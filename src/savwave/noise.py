@@ -30,7 +30,6 @@ __all__ = [
     "sample_block",
     "increments",
     "coupled_path",
-    "hs_norm_sq_of_g",
     "trace_operator",
 ]
 
@@ -185,20 +184,6 @@ def coupled_path(cov, tau_fine, n_fine, multiples, rng):
     return out
 
 
-def hs_norm_sq_of_g(u_nodal, g, cov, grid):
-    """Quadrature of sum_k q_k * int g(u(x))^2 e_k(x)^2 dx on the given grid.
-
-    This is the squared Hilbert-Schmidt norm of the multiplication operator
-    g(u)*Q^(1/2); for constant g it reduces to g^2 * trace(cov).
-    """
-    u_nodal = np.asarray(u_nodal, dtype=np.float64)
-    k = np.arange(1, cov.modes + 1)
-    basis_sq = 2.0 * np.sin(np.pi * np.outer(grid.x, k)) ** 2
-    density = basis_sq @ cov.q
-    gv = g(u_nodal)
-    return float(np.sum(grid.weights * gv**2 * density))
-
-
 def trace_operator(cov, ops):
     """Callable mapping nodal g-values to the Hilbert-Schmidt trace term.
 
@@ -213,7 +198,7 @@ def trace_operator(cov, ops):
         weights = ops.weights * density
 
         def apply(g_vals):
-            return g_vals**2 @ weights
+            return np.einsum("...m,m->...", g_vals**2, weights)
 
     else:
         corr = (basis * cov.q) @ basis.T

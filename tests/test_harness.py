@@ -21,8 +21,8 @@ from savwave.harness import (
     strong_convergence,
     weak_energy_error,
 )
-from savwave.model import make_problem
-from savwave.noise import RngStream
+from savwave.model import make_problem, spectral_discretization
+from savwave.noise import RngStream, power_covariance, trace_operator
 
 MINI = ConvergenceStudy(
     f="sine", g="sine", modes=16, T=0.5, tau_exps=(4, 5, 6), ref_exp=9,
@@ -175,6 +175,113 @@ class TestEnergyEvolution:
         b = energy_evolution(study, workers=4)
         assert np.array_equal(a.mean_V, b.mean_V)
         assert np.array_equal(a.predicted_V, b.predicted_V)
+
+
+def _openblas_threads():
+    """Thread count of every OpenBLAS loaded in this process."""
+    import ctypes
+
+    with open("/proc/self/maps") as maps:
+        paths = {line.split()[-1] for line in maps if "openblas" in line}
+    counts = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in ("openblas_get_num_threads", "scipy_openblas_get_num_threads64_",
+                     "scipy_openblas_get_num_threads"):
+            getter = getattr(lib, name, None)
+            if getter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                counts.append(getter())
+    return counts
+
+
+def test_pool_workers_run_one_blas_thread():
+    from concurrent.futures import ProcessPoolExecutor
+
+    if not _openblas_threads():
+        pytest.skip("no OpenBLAS loaded")
+    with ProcessPoolExecutor(1, initializer=harness._one_blas_thread) as pool:
+        counts = pool.submit(_openblas_threads).result(timeout=60)
+    assert counts and all(c == 1 for c in counts)
+
+
+def _run_layouts(monkeypatch, study_fn, study, chunk_fn):
+    """{(layout, workers): result} with chunks grouped per task, or one per task.
+
+    Also asserts that the grouped layout really groups: it calls the chunk
+    body fewer times than there are chunks.
+    """
+    body = getattr(harness, chunk_fn)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return body(*args)
+
+    n_chunks = -(-study.realizations // study.chunk)
+    keys = len(getattr(study, "schemes", (None,)))
+    out = {}
+    for layout, cap in (("grouped", harness._GROUP_VALUES), ("single", 1)):
+        monkeypatch.setattr(harness, "_GROUP_VALUES", cap)
+        with monkeypatch.context() as m:  # the counter runs in-process only
+            m.setattr(harness, chunk_fn, counting)
+            out[layout, 1] = study_fn(study, workers=1)
+        assert len(calls) == keys * (1 if layout == "grouped" else n_chunks)
+        calls.clear()
+        out[layout, 3] = study_fn(study, workers=3)
+    return out
+
+
+@pytest.mark.parametrize("chunk", [3, 4])
+class TestChunkGroups:
+    # Grouping consecutive chunks into one stepped array must not move a
+    # bit: each row's arithmetic is the same whichever rows share its array,
+    # and every sum stays per chunk.  The last chunk is short (14 = 4+4+4+2
+    # or 3+3+3+3+2).  Chunks of 3 do not line up with the 4-row blocks of
+    # the BLAS matrix-vector kernel, so a GEMV reduction shows up here; the
+    # cubic drift at coarse steps carries its round-off into the outputs.
+
+    def test_reductions_are_row_wise(self, chunk):
+        ops = spectral_discretization(32)
+        trace_fn = trace_operator(power_covariance(32), ops)
+        x = np.random.default_rng(7).standard_normal((14, ops.grid.points))
+        for reduce in (ops.quad, trace_fn):
+            whole = reduce(x)
+            for lo in range(0, 14, chunk):
+                part = reduce(x[lo:lo + chunk].copy())
+                assert part.tobytes() == whole[lo:lo + chunk].tobytes()
+
+    def test_convergence_bytes_do_not_depend_on_grouping(self, monkeypatch, chunk):
+        study = ConvergenceStudy(
+            f="cubic", g="sine", modes=32, T=1.0, tau_exps=(3, 4, 5), ref_exp=7,
+            schemes=("exponential", "midpoint"), realizations=14, seed=44, chunk=chunk,
+        )
+        out = _run_layouts(monkeypatch, strong_convergence, study, "_convergence_chunk")
+        base = out["single", 1].per_scheme
+        for res in out.values():
+            for a, b in zip(base, res.per_scheme):
+                assert a.rms_error.tobytes() == b.rms_error.tobytes()
+                assert a.stderr.tobytes() == b.stderr.tobytes()
+
+    def test_energy_bytes_do_not_depend_on_grouping(self, monkeypatch, chunk):
+        study = EnergyStudy(f="cubic", g="sine", modes=32, T=1.0, tau=2.0**-3,
+                            realizations=14, seed=44, chunk=chunk)
+        out = _run_layouts(monkeypatch, energy_evolution, study, "_energy_chunk")
+        base = out["single", 1]
+        for res in out.values():
+            assert res.mean_V.tobytes() == base.mean_V.tobytes()
+            assert res.stderr_V.tobytes() == base.stderr_V.tobytes()
+            assert res.predicted_V.tobytes() == base.predicted_V.tobytes()
+
+    def test_spatial_errors_agree_across_grouping(self, monkeypatch, chunk):
+        # FEM transforms go through BLAS small-matrix kernels whose round-off
+        # can depend on the row count, so here the bound is relative.
+        study = SpatialStudy(f="sine", g="sine", ref_modes=32, h_exps=(3, 4), T=0.25,
+                             tau=2.0**-6, realizations=14, seed=46, chunk=chunk)
+        out = _run_layouts(monkeypatch, spatial_refinement, study, "_spatial_chunk")
+        base = out["single", 1]
+        for res in out.values():
+            np.testing.assert_allclose(res.rms_error, base.rms_error, rtol=1e-12, atol=0)
 
 
 class TestAuxGap:

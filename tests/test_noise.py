@@ -6,18 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from savwave import noise
-from savwave.model import uniform_grid
+from savwave.model import spectral_discretization
 from savwave.noise import (
     CovarianceSpec,
     RngStream,
     coupled_path,
     covariance_tail,
-    hs_norm_sq_of_g,
     increments,
     power_covariance,
     sample_block,
     sample_increment,
     trace,
+    trace_operator,
 )
 
 
@@ -166,23 +166,26 @@ class TestIncrements:
 
 
 class TestHilbertSchmidt:
+    # trace_operator(cov, ops) maps nodal g-values to the quadrature of
+    # sum_k q_k * int g^2 e_k^2 dx, the squared Hilbert-Schmidt norm of
+    # g * Q^(1/2).
+
     def test_constant_g_gives_trace(self):
         cov = power_covariance(12)
-        grid = uniform_grid(256)
-        u = np.sin(np.pi * grid.x)
-        val = hs_norm_sq_of_g(u, lambda w: np.ones_like(w), cov, grid)
+        ops = spectral_discretization(12, grid_points=256)
+        val = trace_operator(cov, ops)(np.ones_like(ops.x))
         assert val == pytest.approx(trace(cov), abs=1e-10)
 
     def test_zero_g(self):
         cov = power_covariance(6)
-        grid = uniform_grid(64)
-        assert hs_norm_sq_of_g(grid.x, lambda w: np.zeros_like(w), cov, grid) == 0.0
+        ops = spectral_discretization(6, grid_points=64)
+        assert trace_operator(cov, ops)(np.zeros_like(ops.x)) == 0.0
 
     def test_against_fine_quadrature_oracle(self):
         # g = sin, u = sin(pi x), q_k = k^-2, K = 8, vs a 10^4-point grid
         cov = power_covariance(8, 2.0)
-        coarse = uniform_grid(128)
-        fine = uniform_grid(10_000)
-        val = hs_norm_sq_of_g(np.sin(np.pi * coarse.x), np.sin, cov, coarse)
-        oracle = hs_norm_sq_of_g(np.sin(np.pi * fine.x), np.sin, cov, fine)
+        coarse = spectral_discretization(8, grid_points=128)
+        fine = spectral_discretization(8, grid_points=10_000)
+        val = trace_operator(cov, coarse)(np.sin(np.sin(np.pi * coarse.x)))
+        oracle = trace_operator(cov, fine)(np.sin(np.sin(np.pi * fine.x)))
         assert val == pytest.approx(oracle, abs=1e-6)

@@ -1,16 +1,12 @@
 """Auxiliary-variable integrators for the 1-d stochastic wave equation."""
 
-from .fem import FemSystem, assemble, fem_group_tables, l2_project, ritz_project, step_fem_sav
+from .fem import FemSystem, assemble, initial_coefficients, l2_project, ritz_project
 from .model import (
     Discretization,
     ModelViolationError,
     Problem,
     QuadratureGrid,
-    apply_g,
-    drift_direction,
-    eval_F,
     make_problem,
-    sav_value,
     spectral_discretization,
     uniform_grid,
 )
@@ -25,9 +21,11 @@ from .noise import (
 )
 from .schemes import (
     BlowUpError,
+    Integrator,
     RunRecord,
     SavState,
     StepDiagnostics,
+    initial_state,
     modified_energy,
     pathwise_energy_residual,
     run_trajectory,
@@ -41,7 +39,6 @@ from .spectral import (
     WaveGroupTable,
     eigenvalue,
     eigenvalues,
-    fractional_laplacian,
     group_step,
     sobolev_norm_sq,
     spectral_group_table,

@@ -25,17 +25,9 @@ from .harness import (
     invariant_suite,
     strong_convergence,
 )
-from .model import ModelViolationError, diffusion_values, make_problem, sav_radicand
-from .noise import RngStream, covariance_tail, power_covariance, sample_increment, trace_operator
-from .schemes import (
-    ENERGY_GUARD,
-    BlowUpError,
-    RunRecord,
-    SavState,
-    run_trajectory,
-    step_exponential_sav,
-    step_midpoint_sav,
-)
+from .model import ModelViolationError, make_problem
+from .noise import RngStream, covariance_tail, power_covariance
+from .schemes import PREDICTORS, SCHEMES, BlowUpError, run_trajectory
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "main"]
 
@@ -113,6 +105,16 @@ class RunConfig:
             raise ConfigError(f"invalid value for mc.realizations: {self.realizations}")
         if self.chunk < 1:
             raise ConfigError(f"invalid value for mc.chunk: {self.chunk}")
+        if self.variant not in SCHEMES:
+            raise ConfigError(f"invalid value for scheme.variant: {self.variant}")
+        if self.predictor not in PREDICTORS:
+            raise ConfigError(f"invalid value for scheme.predictor: {self.predictor}")
+        if not self.schemes or any(s not in SCHEMES for s in self.schemes):
+            raise ConfigError(f"invalid value for converge.schemes: {' '.join(self.schemes)}")
+        if self.norm not in ("l2", "h"):
+            raise ConfigError(f"invalid value for converge.norm: {self.norm}")
+        if self.reference_scheme not in ("", *SCHEMES):
+            raise ConfigError(f"invalid value for converge.reference: {self.reference_scheme}")
         self.steps()
         return self
 
@@ -262,66 +264,32 @@ def svg_plot(series, title="", xlabel="", ylabel="", loglog=False, annotations=(
 # Commands.
 
 
-def _fem_records(config):
-    """Single fully discrete trajectory, mirroring run_trajectory's records."""
-    system = fem_mod.assemble(config.elements)
-    ops = system.discretization
-    noise_modes = config.noise_modes or config.elements
+def _trajectory(config):
+    """(problem, run_trajectory records) of the one path `simulate` writes."""
+    fem = config.backend == "fem"
+    noise_modes = config.noise_modes or (config.elements if fem else config.modes)
     problem = make_problem(
         f=config.f, g=config.g, sigma=config.sigma, delta0=config.delta0,
-        modes=noise_modes, noise_decay=config.noise_decay,
+        modes=noise_modes if fem else config.modes,
+        noise=power_covariance(noise_modes, config.noise_decay),
     )
-    u0 = fem_mod.ritz_project(system, problem.u0)
-    v0 = fem_mod.l2_project(system, problem.v0)
-    u0c = ops.analysis[:, 1:-1] @ u0
-    v0c = ops.analysis[:, 1:-1] @ v0
-    rad0 = sav_radicand(u0c, problem, ops)
-    state = SavState(u0c, v0c, np.sqrt(rad0))
-    cmap = fem_mod.noise_projection_matrix(system, noise_modes)
-    table = fem_mod.fem_group_tables(system, config.tau)
-    trace_fn = trace_operator(problem.noise, ops)
-    rng = RngStream(config.seed, 0)
-    v_mod = float(0.5 * np.sum(ops.lam * u0c**2) + 0.5 * np.sum(v0c**2) + state.q**2)
-    trace0 = float(trace_fn(diffusion_values(u0c, problem, ops)))
-    records = [RunRecord(0, 0.0, v_mod, v_mod - float(state.q**2) + float(rad0 - problem.delta0),
-                         float(state.q), 0.0, 0.0, trace0)]
-    u_prev = state.u
-    for n in range(config.steps()):
-        dw = cmap @ sample_increment(problem.noise, config.tau, rng).coeffs
-        u_hat = state.u if config.predictor == "identity" else 0.5 * (3 * state.u - u_prev)
-        u_prev = state.u
-        if config.variant == "exponential":
-            state, diag = step_exponential_sav(state, dw, table, problem, ops,
-                                               u_hat=u_hat, trace_fn=trace_fn)
-        else:
-            state, diag = step_midpoint_sav(state, dw, config.tau, problem, ops,
-                                            u_hat=u_hat, trace_fn=trace_fn)
-        if diag.V > ENERGY_GUARD:
-            raise BlowUpError(f"modified energy exceeded {ENERGY_GUARD:.1e} at step {n + 1}")
-        records.append(RunRecord(n + 1, (n + 1) * config.tau, float(diag.V), float(diag.V1),
-                                 float(diag.q), float(diag.aux_gap),
-                                 float(diag.energy_residual), float(diag.trace_term)))
-    return records
+    run = dict(scheme=config.variant, predictor=config.predictor, tau=config.tau,
+               n_steps=config.steps(), rng=RngStream(config.seed, 0))
+    if not fem:
+        return problem, run_trajectory(problem, **run)
+    system = fem_mod.assemble(config.elements)
+    return problem, run_trajectory(
+        problem, ops=system.discretization,
+        initial=fem_mod.initial_coefficients(system, problem),
+        noise_map=fem_mod.noise_projection_matrix(system, noise_modes), **run,
+    )
 
 
 def cmd_simulate(config, out_dir, svg=False):
     out_dir.mkdir(parents=True, exist_ok=True)
-    noise_modes = config.noise_modes or (config.elements if config.backend == "fem"
-                                         else config.modes)
-    cov = power_covariance(noise_modes, config.noise_decay)
-    if config.backend == "fem":
-        records = _fem_records(config)
-    else:
-        problem = make_problem(
-            f=config.f, g=config.g, sigma=config.sigma, delta0=config.delta0,
-            modes=config.modes, noise_decay=config.noise_decay, noise=cov,
-        )
-        records = run_trajectory(
-            problem, scheme=config.variant, predictor=config.predictor,
-            tau=config.tau, n_steps=config.steps(), rng=RngStream(config.seed, 0),
-        )
+    problem, records = _trajectory(config)
     rows = [(r.step, r.time, r.V, r.V1, r.q, r.aux_gap, r.energy_residual) for r in records]
-    tail = covariance_tail(cov)
+    tail = covariance_tail(problem.noise)
     footer = [f"seed={config.seed}", f"scheme={config.variant}", f"backend={config.backend}"]
     if tail is not None:
         footer.append(f"noise_tail={_fmt(tail)}")

@@ -4,7 +4,9 @@ The generalized eigendecomposition of the stiffness/mass pair gives a
 mass-orthonormal basis in which the discrete Laplacian is diagonal, so the
 finite element space plugs into the same coefficient-space machinery as the
 sine basis: trig-operator tables act mode by mode on the discrete
-eigenvalues, and nonlinearities are evaluated at the mesh nodes.
+eigenvalues, and nonlinearities are evaluated at the mesh nodes.  The time
+steppers and `schemes.Integrator` run on `FemSystem.discretization` with the
+propagator table `wave_group_table(system.mu, tau)`.
 """
 
 from __future__ import annotations
@@ -16,22 +18,18 @@ import numpy as np
 import scipy.linalg
 
 from .model import Discretization, QuadratureGrid
-from .spectral import SpectralField, wave_group_table
+from .spectral import SpectralField
 
 __all__ = [
     "FemSystem",
-    "FemVector",
     "assemble",
     "eigenvalue_closed_form",
     "l2_project",
     "ritz_project",
-    "fem_group_tables",
+    "initial_coefficients",
     "noise_projection_matrix",
     "linear_interp_matrix",
-    "step_fem_sav",
 ]
-
-FemVector = np.ndarray  # interior nodal values, length elements - 1
 
 _GAUSS_T = 0.5 * (1.0 + np.array([-np.sqrt(0.6), 0.0, np.sqrt(0.6)]))
 _GAUSS_W = np.array([5.0, 8.0, 5.0]) / 18.0
@@ -162,9 +160,15 @@ def ritz_project(system, source):
     return scipy.linalg.solve(system.stiffness, load, assume_a="pos")
 
 
-def fem_group_tables(system, tau):
-    """Wave-propagator table on the discrete eigenvalues mu_k."""
-    return wave_group_table(system.mu, tau)
+def initial_coefficients(system, problem):
+    """Eigen-coefficients (u0, v0) of the fully discrete initial state.
+
+    u0 is the Ritz projection of the problem's initial displacement, v0 the
+    L2 projection of its initial velocity.
+    """
+    to_coeffs = system.discretization.analysis[:, 1:-1]
+    return (to_coeffs @ ritz_project(system, problem.u0),
+            to_coeffs @ l2_project(system, problem.v0))
 
 
 def noise_projection_matrix(system, noise_modes):
@@ -190,43 +194,3 @@ def linear_interp_matrix(x_nodes, x_eval):
     mat[rows, idx] = 1.0 - t
     mat[rows, idx + 1] = t
     return mat
-
-
-def step_fem_sav(
-    state,
-    dw,
-    system,
-    problem,
-    variant="exponential",
-    tau=None,
-    table=None,
-    u_hat=None,
-    diagnostics=True,
-    trace_fn=None,
-):
-    """Advance a fully discrete state by one step of the chosen variant.
-
-    Identical elimination algebra to the temporal steppers, acting on
-    eigen-coefficients of the element space; `dw` must already be expressed
-    in that space (see noise_projection_matrix).
-    """
-    from .schemes import step_exponential_sav, step_midpoint_sav
-
-    ops = system.discretization
-    if variant == "exponential":
-        if table is None:
-            if tau is None:
-                raise ValueError("exponential variant needs tau or a prebuilt table")
-            table = fem_group_tables(system, tau)
-        return step_exponential_sav(
-            state, dw, table, problem, ops,
-            u_hat=u_hat, diagnostics=diagnostics, trace_fn=trace_fn,
-        )
-    if variant == "midpoint":
-        if tau is None:
-            raise ValueError("midpoint variant needs tau")
-        return step_midpoint_sav(
-            state, dw, tau, problem, ops,
-            u_hat=u_hat, diagnostics=diagnostics, trace_fn=trace_fn,
-        )
-    raise ValueError(f"unknown variant '{variant}'")

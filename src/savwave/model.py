@@ -28,10 +28,6 @@ __all__ = [
     "uniform_grid",
     "spectral_discretization",
     "make_problem",
-    "eval_F",
-    "sav_value",
-    "drift_direction",
-    "apply_g",
     "DRIFTS",
     "DIFFUSIONS",
 ]
@@ -259,7 +255,14 @@ def nodal_radicand(vals, problem, ops):
 
 
 def sav_radicand(coeffs, problem, ops):
+    """F(u) + delta0 of coefficient arrays (bench/microgrid.py seeds q with it)."""
     return nodal_radicand(ops.nodal(coeffs), problem, ops)
+
+
+# drift_core, diffusion_values and apply_g_core are the unfused step
+# ingredients: the steppers compute them jointly (schemes._step_inputs), and
+# schemes.substitution_residual recomputes them one by one as its oracle.
+# bench/microgrid.py times drift_core on its own.
 
 
 def drift_core(u_hat, problem, ops):
@@ -277,33 +280,6 @@ def diffusion_values(u, problem, ops):
     return problem.g(vals, grad)
 
 
-def apply_g_core(u, dw, problem, ops, g_vals=None):
+def apply_g_core(u, dw, problem, ops):
     """Project the nodal product g(u, u_x)*dW back to coefficient space."""
-    if g_vals is None:
-        g_vals = diffusion_values(u, problem, ops)
-    return ops.project(g_vals * ops.nodal(dw))
-
-
-# ---------------------------------------------------------------------------
-# Field-level wrappers.
-
-
-def eval_F(u, problem, ops):
-    """Potential F(u) of a spectral field."""
-    return float(potential(u.coeffs, problem, ops))
-
-
-def sav_value(u, problem, ops):
-    """Auxiliary value sqrt(F(u) + delta0); aborts if the radicand degenerates."""
-    return float(np.sqrt(sav_radicand(u.coeffs, problem, ops)))
-
-
-def drift_direction(u_hat, problem, ops):
-    """(b, s) with b the band-limited f(u_hat)/s and s = sqrt(F(u_hat)+delta0)."""
-    b, s = drift_core(u_hat.coeffs, problem, ops)
-    return SpectralField(b), float(s)
-
-
-def apply_g(u, dw, problem, ops):
-    """Field-level multiplicative noise application g(u, u_x)*dW."""
-    return SpectralField(apply_g_core(u.coeffs, dw.coeffs, problem, ops))
+    return ops.project(diffusion_values(u, problem, ops) * ops.nodal(dw))

@@ -13,6 +13,11 @@ denominator is >= 1 by construction.  Both steppers satisfy, path by path,
 which yields the linear-in-time growth of the averaged energy after taking
 expectations.  All state arrays have shape (..., K); leading axes batch
 independent realizations through identical arithmetic.
+
+`Integrator` is the one trajectory engine: it alone maps a scheme name to its
+stepper and propagator table, and it holds the predictor memory.  Every
+driver (`run_trajectory`, the `simulate` command on either backend, the Monte
+Carlo studies and the invariant checks) steps through it.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from .model import (
     spectral_discretization,
 )
 from .noise import sample_increment, trace_operator
+from .spectral import wave_group_table
 
 __all__ = [
     "BlowUpError",
@@ -36,6 +42,7 @@ __all__ = [
     "SavState",
     "StepDiagnostics",
     "RunRecord",
+    "Integrator",
     "PREDICTORS",
     "SCHEMES",
     "initial_state",
@@ -51,9 +58,9 @@ __all__ = [
 PREDICTORS = ("identity", "extrapolation")
 SCHEMES = ("exponential", "midpoint")
 
-# Modified energy beyond which a path counts as blown up: run_trajectory and
-# the FEM simulate command abort, Monte Carlo studies park the path.  The
-# value itself is arbitrary plumbing.
+# Modified energy beyond which a path counts as blown up: run_trajectory
+# aborts, Monte Carlo studies park the path.  The value itself is arbitrary
+# plumbing.
 ENERGY_GUARD = 1e12
 
 
@@ -155,14 +162,6 @@ def initial_state(u, v, problem, ops):
     vals = ops.nodal(u)
     rad = nodal_radicand(vals, problem, ops)
     return SavState(u, v, np.sqrt(rad), vals=vals, rad=rad)
-
-
-def _predict(u, u_prev, predictor):
-    if predictor == "identity":
-        return u
-    if predictor == "extrapolation":
-        return 0.5 * (3.0 * u - u_prev)
-    raise ValueError(f"unknown predictor '{predictor}'; choose from {PREDICTORS}")
 
 
 def _check_finite(u, v, q, n):
@@ -337,7 +336,8 @@ def substitution_residual(
 ):
     """Max residual norm of the un-eliminated step equations at a solution.
 
-    Recomputes every ingredient from scratch and substitutes the accepted
+    Recomputes every ingredient from scratch with the unfused cores
+    (drift_core, apply_g_core) and substitutes the accepted
     (u_{n+1}, v_{n+1}, q_{n+1}) into the three coupled equations as written;
     returns max over the equations of the L2 residual norm (absolute value
     for the scalar equation).
@@ -379,6 +379,73 @@ def substitution_residual(
     return np.max(norms, axis=0)
 
 
+class Integrator:
+    """Fixed-step batched integrator of one scheme, with predictor memory.
+
+    The only place where a scheme name selects its stepper and table: the
+    exponential scheme steps on the wave-group table of `ops.lam`, the
+    midpoint scheme on tau itself.  `balancing=False` is the midpoint
+    mutation hook (see step_midpoint_sav).
+    """
+
+    def __init__(self, scheme, tau, problem, ops, state, predictor="identity",
+                 balancing=True, trace_fn=None):
+        if scheme not in SCHEMES:
+            raise ValueError(f"unknown scheme '{scheme}'; choose from {SCHEMES}")
+        if predictor not in PREDICTORS:
+            raise ValueError(f"unknown predictor '{predictor}'; choose from {PREDICTORS}")
+        self.scheme = scheme
+        self.tau = tau
+        self.problem = problem
+        self.ops = ops
+        self.state = state
+        self.predictor = predictor
+        self.balancing = balancing
+        self.trace_fn = trace_fn
+        self.u_prev = state.u.copy()
+        self.table = wave_group_table(ops.lam, tau) if scheme == "exponential" else None
+
+    def step(self, dw, diagnostics=False):
+        u = self.state.u
+        u_hat = u if self.predictor == "identity" else 0.5 * (3.0 * u - self.u_prev)
+        self.u_prev = u
+        if self.scheme == "exponential":
+            self.state, diag = step_exponential_sav(
+                self.state, dw, self.table, self.problem, self.ops,
+                u_hat=u_hat, diagnostics=diagnostics, trace_fn=self.trace_fn,
+            )
+        else:
+            self.state, diag = step_midpoint_sav(
+                self.state, dw, self.tau, self.problem, self.ops,
+                u_hat=u_hat, diagnostics=diagnostics, trace_fn=self.trace_fn,
+                balancing=self.balancing,
+            )
+        return diag
+
+    def energy(self):
+        return modified_energy(self.state.u, self.state.v, self.state.q, self.ops.lam)
+
+    def sanitize(self, excluded):
+        """Mark paths beyond the energy guard and park them at a benign state.
+
+        The parked state is built from new arrays, so it carries no cached
+        nodal values or radicand: the next step synthesizes them afresh.
+        """
+        v = self.energy()
+        bad = ~np.isfinite(v) | (v > ENERGY_GUARD)
+        if np.any(bad & ~excluded):
+            excluded |= bad
+            keep = ~bad[..., None]
+            self.state = SavState(
+                np.where(keep, self.state.u, 0.0),
+                np.where(keep, self.state.v, 0.0),
+                np.where(bad, np.sqrt(self.problem.delta0), self.state.q),
+                self.state.n,
+            )
+            self.u_prev = np.where(keep, self.u_prev, 0.0)
+        return excluded
+
+
 def run_trajectory(
     problem,
     scheme="exponential",
@@ -388,75 +455,49 @@ def run_trajectory(
     rng=None,
     ops=None,
     guard=ENERGY_GUARD,
+    initial=None,
+    noise_map=None,
 ):
     """Integrate one path and return a RunRecord per step, initial state included.
 
-    q_0 is initialized to sqrt(F(u_0)+delta0) exactly (zero initial gap), and
-    the run aborts with BlowUpError once V exceeds `guard`.  The trajectory is
-    a pure function of (problem, scheme, predictor, tau, n_steps, stream).
+    Spectral by default: sine `ops` of u0's modes, initial coefficients
+    (u0, v0), sine noise zero-padded to the spatial modes.  A finite element
+    run passes its `ops`, `initial` = fem.initial_coefficients and
+    `noise_map` = fem.noise_projection_matrix (sine increments to
+    eigen-coefficients).  q_0 = sqrt(F(u_0)+delta0) exactly (zero initial
+    gap); the run aborts with BlowUpError once V exceeds `guard`.
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme '{scheme}'; choose from {SCHEMES}")
-    if predictor not in PREDICTORS:
-        raise ValueError(f"unknown predictor '{predictor}'; choose from {PREDICTORS}")
     if ops is None:
         ops = spectral_discretization(problem.u0.modes)
-    if problem.noise.modes > ops.modes:
+    if noise_map is None and problem.noise.modes > ops.modes:
         raise ValueError("noise carries more modes than the spatial truncation")
-    table = None
-    if scheme == "exponential":
-        from .spectral import wave_group_table
-
-        table = wave_group_table(ops.lam, tau)
+    if initial is None:
+        initial = (problem.u0.coeffs.copy(), problem.v0.coeffs.copy())
     trace_fn = trace_operator(problem.noise, ops)
+    state = initial_state(*initial, problem, ops)
+    integ = Integrator(scheme, tau, problem, ops, state, predictor, trace_fn=trace_fn)
 
-    u = problem.u0.coeffs.copy()
-    v = problem.v0.coeffs.copy()
-    state = initial_state(u, v, problem, ops)
-    u_prev = u.copy()
-
-    lam = ops.lam
-    f0 = float(state.rad - problem.delta0)
-    v_mod = float(modified_energy(u, v, state.q, lam))
-    g0_vals = diffusion_values(u, problem, ops)
-    records = [
-        RunRecord(
-            step=0,
-            time=0.0,
-            V=v_mod,
-            V1=v_mod - float(state.q**2) + f0,
-            q=float(state.q),
-            aux_gap=0.0,
-            energy_residual=0.0,
-            trace_term=float(trace_fn(g0_vals)),
-        )
-    ]
+    # Elementwise sums, not modified_energy's einsum: on a finite element u0
+    # they differ in the last bit, and the simulate CSVs carry this form.
+    v_mod = float(0.5 * np.sum(ops.lam * state.u**2) + 0.5 * np.sum(state.v**2) + state.q**2)
+    records = [RunRecord(
+        step=0, time=0.0, V=v_mod,
+        V1=v_mod - float(state.q**2) + float(state.rad - problem.delta0),
+        q=float(state.q), aux_gap=0.0, energy_residual=0.0,
+        trace_term=float(trace_fn(diffusion_values(state.u, problem, ops))),
+    )]
     for n in range(n_steps):
         dw = sample_increment(problem.noise, tau, rng).coeffs
-        if problem.noise.modes < ops.modes:
+        if noise_map is not None:
+            dw = noise_map @ dw
+        elif problem.noise.modes < ops.modes:
             dw = np.concatenate([dw, np.zeros(ops.modes - problem.noise.modes)])
-        u_hat = _predict(state.u, u_prev, predictor)
-        u_prev = state.u
-        if scheme == "exponential":
-            state, diag = step_exponential_sav(
-                state, dw, table, problem, ops, u_hat=u_hat, trace_fn=trace_fn
-            )
-        else:
-            state, diag = step_midpoint_sav(
-                state, dw, tau, problem, ops, u_hat=u_hat, trace_fn=trace_fn
-            )
+        diag = integ.step(dw, diagnostics=True)
         if diag.V > guard:
             raise BlowUpError(f"modified energy {diag.V:.3e} exceeded {guard:.1e} at step {n + 1}")
-        records.append(
-            RunRecord(
-                step=n + 1,
-                time=(n + 1) * tau,
-                V=float(diag.V),
-                V1=float(diag.V1),
-                q=float(diag.q),
-                aux_gap=float(diag.aux_gap),
-                energy_residual=float(diag.energy_residual),
-                trace_term=float(diag.trace_term),
-            )
-        )
+        records.append(RunRecord(
+            step=n + 1, time=(n + 1) * tau, V=float(diag.V), V1=float(diag.V1),
+            q=float(diag.q), aux_gap=float(diag.aux_gap),
+            energy_residual=float(diag.energy_residual), trace_term=float(diag.trace_term),
+        ))
     return records

@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from savwave.cli import main
-from savwave.fem import assemble, eigenvalue_closed_form, fem_group_tables, noise_projection_matrix, ritz_project, step_fem_sav
+from savwave.fem import assemble, eigenvalue_closed_form, initial_coefficients, noise_projection_matrix
 from savwave.harness import (
     AuxGapStudy,
     ConvergenceStudy,
@@ -25,7 +25,9 @@ from savwave.harness import (
 from savwave.model import make_problem, sav_radicand, spectral_discretization
 from savwave.noise import RngStream, sample_block, trace as cov_trace
 from savwave.schemes import (
+    Integrator,
     SavState,
+    initial_state,
     modified_energy,
     state_norm,
     step_exponential_sav,
@@ -198,22 +200,21 @@ def test_criterion_07_fem_structure():
     assert mu_err <= 1e-10
     ops = system.discretization
     problem = make_problem(f="sine", g="sine", modes=system.dim)
-    u0 = ritz_project(system, problem.u0)
-    u0c = np.tile(ops.analysis[:, 1:-1] @ u0, (4, 1))
-    state = SavState(u0c, np.zeros_like(u0c), np.sqrt(sav_radicand(u0c, problem, ops)))
+    u0, v0 = initial_coefficients(system, problem)
+    state = initial_state(np.tile(u0, (4, 1)), np.tile(v0, (4, 1)), problem, ops)
     cmap = noise_projection_matrix(system, system.dim)
-    table = fem_group_tables(system, 2.0**-7)
     rng = RngStream(707, 0)
     worst = 0.0
     for variant in ("exponential", "midpoint"):
+        integ = Integrator(variant, 2.0**-7, problem, ops, state)
         for n in range(250):
             dw = sample_block(problem.noise, 2.0**-7, 1, rng)[0] @ cmap.T
             dw = np.tile(dw, (4, 1))
-            state, diag = step_fem_sav(state, dw, system, problem, variant=variant,
-                                       tau=2.0**-7, table=table)
+            diag = integ.step(dw, diagnostics=True)
             rel = float(np.max(np.abs(diag.energy_residual) / (1.0 + diag.V)))
             worst = max(worst, rel)
             assert rel <= 1e-9
+        state = integ.state
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     print(f"\n[PASS] criterion 7: FEM closed-form eigenvalues at {mu_err:.1e}, pathwise "

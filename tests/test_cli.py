@@ -62,6 +62,25 @@ class TestConfig:
         assert main(["simulate", "--config", path]) == 2
         assert "banana" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, backend", [
+        ("scheme.variant", "verlet", "spectral"),
+        ("scheme.variant", "verlet", "fem"),
+        ("scheme.predictor", "extrapolate", "spectral"),
+        ("scheme.predictor", "extrapolate", "fem"),
+        ("converge.schemes", "exponential verlet", "spectral"),
+        ("converge.norm", "h1", "spectral"),
+        ("converge.reference", "rk4", "spectral"),
+    ])
+    def test_unknown_scheme_names_are_config_errors(self, tmp_path, capsys, key, value, backend):
+        path = write(tmp_path / "c.txt", f"space.backend = {backend}\n{key} = {value}\n"
+                                         f"output.dir = {tmp_path / 'out'}\n")
+        with pytest.raises(ConfigError, match=key):
+            load_config(path)
+        for command in ("simulate", "converge", "energy"):
+            assert main([command, "--config", path]) == 2
+            assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestSimulate:
     def test_row_count_includes_initial_state(self, tmp_path):

@@ -4,16 +4,22 @@ import pytest
 from savwave.fem import (
     assemble,
     eigenvalue_closed_form,
-    fem_group_tables,
+    initial_coefficients,
     l2_project,
     linear_interp_matrix,
     noise_projection_matrix,
     ritz_project,
-    step_fem_sav,
 )
-from savwave.model import make_problem, sav_radicand
-from savwave.schemes import SavState, state_norm, substitution_residual
-from savwave.spectral import SpectralField
+from savwave.model import make_problem
+from savwave.schemes import (
+    Integrator,
+    SavState,
+    initial_state,
+    state_norm,
+    step_exponential_sav,
+    substitution_residual,
+)
+from savwave.spectral import SpectralField, wave_group_table
 
 
 def sine_initial(modes):
@@ -24,11 +30,7 @@ def sine_initial(modes):
 
 def fem_state(system, problem):
     ops = system.discretization
-    u0 = ritz_project(system, problem.u0)
-    u0c = ops.analysis[:, 1:-1] @ u0
-    v0c = np.zeros_like(u0c)
-    q0 = np.sqrt(sav_radicand(u0c, problem, ops))
-    return SavState(u0c, v0c, q0)
+    return initial_state(*initial_coefficients(system, problem), problem, ops)
 
 
 class TestAssembly:
@@ -124,10 +126,27 @@ class TestProjections:
             assert h1 <= exact * (1 + 1e-12)
 
 
+class TestInitialCoefficients:
+    def test_ritz_displacement_and_l2_velocity_in_eigencoordinates(self):
+        system = assemble(16)
+        problem = make_problem(modes=16, v0=SpectralField.basis(2, 16))
+        u0, v0 = initial_coefficients(system, problem)
+        assert np.max(np.abs(system.phi @ u0 - ritz_project(system, problem.u0))) <= 1e-13
+        assert np.max(np.abs(system.phi @ v0 - l2_project(system, problem.v0))) <= 1e-13
+
+    def test_state_carries_the_nodal_cache(self):
+        system = assemble(16)
+        problem = make_problem(f="sine", g="sine", modes=16)
+        state = fem_state(system, problem)
+        ops = system.discretization
+        assert np.array_equal(state.vals, ops.nodal(state.u))
+        assert state.q == np.sqrt(state.rad)
+
+
 class TestDiscreteGroup:
     def test_zero_time_identity(self):
         system = assemble(16)
-        table = fem_group_tables(system, 0.0)
+        table = wave_group_table(system.mu, 0.0)
         assert np.all(table.cos == 1.0)
         assert np.all(table.sin == 0.0)
         assert np.all(table.a1 == 0.0)
@@ -135,20 +154,20 @@ class TestDiscreteGroup:
     def test_half_period_sign_flip(self):
         system = assemble(16)
         tau = np.pi / np.sqrt(system.mu[0])
-        table = fem_group_tables(system, tau)
+        table = wave_group_table(system.mu, tau)
         assert table.cos[0] == pytest.approx(-1.0, abs=1e-12)
         assert table.sin[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_discrete_trig_identity(self):
         system = assemble(32)
-        table = fem_group_tables(system, 0.7)
+        table = wave_group_table(system.mu, 0.7)
         x = np.random.default_rng(0).standard_normal(system.dim)
         lhs = np.sum((table.sin * x) ** 2) + np.sum((table.cos * x) ** 2)
         assert lhs == pytest.approx(np.sum(x**2), rel=1e-11)
 
     def test_long_run_conservation(self):
         system = assemble(32)
-        table = fem_group_tables(system, 2.0**-6)
+        table = wave_group_table(system.mu, 2.0**-6)
         rng = np.random.default_rng(1)
         u = rng.standard_normal(system.dim) / np.arange(1, system.dim + 1)
         v = rng.standard_normal(system.dim)
@@ -164,9 +183,9 @@ class TestFullyDiscreteStep:
         system = assemble(16)
         problem = make_problem(f="zero", g="zero", modes=system.dim)
         state = fem_state(system, problem)
-        table = fem_group_tables(system, 0.21)
-        new, _ = step_fem_sav(state, np.zeros(system.dim), system, problem,
-                              variant="exponential", table=table)
+        table = wave_group_table(system.mu, 0.21)
+        new, _ = step_exponential_sav(state, np.zeros(system.dim), table, problem,
+                                      system.discretization)
         u_expect = table.cos * state.u + table.a2 * state.v
         assert np.array_equal(new.u, u_expect)
         assert new.q == state.q
@@ -183,12 +202,10 @@ class TestFullyDiscreteStep:
                          0.5 + rng.random(500))
         dw = rng.standard_normal((500, system.dim)) * 0.03
         tau = 2.0**-6
-        new, _ = step_fem_sav(state, dw, system, problem, variant=variant, tau=tau)
-        if variant == "exponential":
-            res = substitution_residual("exponential", state, new, dw, problem, ops,
-                                        table=fem_group_tables(system, tau))
-        else:
-            res = substitution_residual("midpoint", state, new, dw, problem, ops, tau=tau)
+        integ = Integrator(variant, tau, problem, ops, state)
+        integ.step(dw)
+        res = substitution_residual(variant, state, integ.state, dw, problem, ops,
+                                    table=wave_group_table(system.mu, tau), tau=tau)
         assert np.all(res <= 1e-10 * (1.0 + state_norm(state, ops.lam)))
 
     @pytest.mark.parametrize("variant", ["exponential", "midpoint"])
@@ -198,14 +215,14 @@ class TestFullyDiscreteStep:
         system = assemble(32)
         ops = system.discretization
         problem = make_problem(f="sine", g="sine", modes=system.dim)
-        state = fem_state(system, problem)
         cmap = noise_projection_matrix(system, system.dim)
         rng = np.random.default_rng(3)
         tau = 2.0**-6
+        integ = Integrator(variant, tau, problem, ops, fem_state(system, problem))
         scale = np.sqrt(problem.noise.q * tau)
         for _ in range(50):
             dw = cmap @ (rng.standard_normal(system.dim) * scale)
-            state, diag = step_fem_sav(state, dw, system, problem, variant=variant, tau=tau)
+            diag = integ.step(dw, diagnostics=True)
             assert abs(float(diag.energy_residual)) <= 1e-9 * (1.0 + float(diag.V))
 
     def test_noise_projection_roundtrip(self):

@@ -13,16 +13,16 @@ import numpy as np
 import pytest
 
 from savwave import cli, fem
-from savwave.harness import _batched_initial, _Integrator
+from savwave.harness import _batched_initial
 from savwave.model import (
     Discretization,
     _of_u,
     make_problem,
-    sav_radicand,
     spectral_discretization,
 )
 from savwave.noise import RngStream, trace_operator
 from savwave.schemes import (
+    Integrator,
     SavState,
     step_exponential_sav,
     step_midpoint_sav,
@@ -43,8 +43,7 @@ def setup(backend, f="sine", g="sine"):
     system = fem.assemble(16)
     ops = system.discretization
     problem = make_problem(f=f, g=g, modes=system.dim)
-    u0c = np.tile(ops.analysis[:, 1:-1] @ fem.ritz_project(system, problem.u0), (BATCH, 1))
-    state = SavState(u0c, np.zeros_like(u0c), np.sqrt(sav_radicand(u0c, problem, ops)))
+    state = _batched_initial(problem, ops, BATCH, fem.initial_coefficients(system, problem))
     return problem, ops, state, fem.noise_projection_matrix(system, system.dim)
 
 
@@ -110,7 +109,7 @@ def test_step_without_diagnostics_carries_nothing(scheme, backend):
 def test_sanitize_drops_the_cache_of_a_parked_path(scheme):
     problem, ops, state, cmap = setup("spectral")
     dws = increments(problem, cmap, 2)
-    integ = _Integrator(scheme, TAU, problem, ops, state)
+    integ = Integrator(scheme, TAU, problem, ops, state)
     integ.step(dws[0], diagnostics=True)
     s = integ.state
     v = s.v.copy()
@@ -174,7 +173,7 @@ def count_transforms(monkeypatch, backend, predictor, diagnostics, steps=4):
 
         monkeypatch.setattr(Discretization, name, counted)
     trace_fn = trace_operator(problem.noise, ops) if diagnostics else None
-    integ = _Integrator("exponential", TAU, problem, ops, state, predictor, trace_fn=trace_fn)
+    integ = Integrator("exponential", TAU, problem, ops, state, predictor, trace_fn=trace_fn)
     dws = increments(problem, cmap, steps + 1)
     integ.step(dws[0], diagnostics=diagnostics)
     for name in counts:
@@ -215,7 +214,7 @@ def test_pointwise_map_shared_by_f_and_g_is_evaluated_once(shared):
     problem = replace(base, f=f, g=g, Ftilde=counting(base.Ftilde, F_calls))
     assert problem.g_is_f is shared
     ops = spectral_discretization(24)
-    integ = _Integrator("exponential", TAU, problem, ops, _batched_initial(problem, ops, BATCH))
+    integ = Integrator("exponential", TAU, problem, ops, _batched_initial(problem, ops, BATCH))
     for dw in increments(problem, None, 3):
         integ.step(dw, diagnostics=True)
     assert len(f_calls) == 3 and len(g_calls) == (0 if shared else 3)
@@ -232,11 +231,11 @@ def test_registry_pairs_share_only_identical_maps():
 
 def test_fem_simulate_step_zero_trace_term_is_finite():
     config = cli.RunConfig(backend="fem", elements=16, T=2.0**-5, tau=2.0**-7)
-    records = cli._fem_records(config)
+    _, records = cli._trajectory(config)
     assert np.isfinite(records[0].trace_term) and records[0].trace_term > 0.0
     system = fem.assemble(16)
     ops = system.discretization
     problem = make_problem(modes=16)
-    u0c = ops.analysis[:, 1:-1] @ fem.ritz_project(system, problem.u0)
+    u0c, _ = fem.initial_coefficients(system, problem)
     expect = trace_operator(problem.noise, ops)(problem.g(ops.nodal(u0c), None))
     assert records[0].trace_term == pytest.approx(float(expect), rel=1e-14)

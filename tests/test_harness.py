@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from savwave import harness, noise
+from savwave import harness, noise, schemes
 from savwave.harness import (
     AuxGapStudy,
     ConvergenceStudy,
@@ -85,13 +85,13 @@ class TestStrongConvergence:
         study = type(MINI)(**{**MINI.__dict__, "realizations": 6, "chunk": 3})
         monkeypatch.setattr(noise, "_NORMALS_PER_DRAW", 24 * study.modes)
         seen = {}
-        step = harness._Integrator.step
+        step = schemes.Integrator.step
 
         def recording_step(self, dw, diagnostics=False):
             seen.setdefault(self.tau, []).append(dw.copy())
             return step(self, dw, diagnostics)
 
-        monkeypatch.setattr(harness._Integrator, "step", recording_step)
+        monkeypatch.setattr(schemes.Integrator, "step", recording_step)
         _convergence_chunk(study, "exponential", 1)
 
         tau_ref = 2.0**-study.ref_exp

@@ -15,15 +15,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from savwave import cli
 from savwave.harness import (
     AuxGapStudy,
     ConvergenceStudy,
     EnergyStudy,
     SpatialStudy,
+    WeakEnergyStudy,
     aux_gap_scaling,
     energy_evolution,
     spatial_refinement,
     strong_convergence,
+    weak_energy_error,
 )
 
 FIXTURE = Path(__file__).with_name("pinned_outputs.json")
@@ -69,7 +72,29 @@ def _spatial():
     return {"rms_error": res.rms_error}
 
 
-STUDIES = {"converge": _converge, "energy": _energy, "aux_gap": _aux_gap, "spatial": _spatial}
+def _weak_energy():
+    res = weak_energy_error(WeakEnergyStudy(
+        f="sine", g="sine", elements=16, ref_modes=64, T=0.25, tau=2.0**-6, realizations=16,
+        seed=2024, chunk=8,
+    ))
+    return {"gap": res.gap}
+
+
+def _simulate():
+    # The single path of the `simulate` command, records of every step.
+    out = {}
+    for backend in ("spectral", "fem"):
+        for scheme in ("exponential", "midpoint"):
+            config = cli.RunConfig(backend=backend, variant=scheme, predictor="extrapolation",
+                                   modes=24, elements=16, T=0.25, tau=2.0**-6, seed=2024)
+            _, records = cli._trajectory(config)
+            for field in ("V", "V1", "q", "aux_gap", "trace_term"):
+                out[f"{backend}.{scheme}.{field}"] = [getattr(r, field) for r in records]
+    return out
+
+
+STUDIES = {"converge": _converge, "energy": _energy, "aux_gap": _aux_gap, "spatial": _spatial,
+           "weak_energy": _weak_energy, "simulate": _simulate}
 
 
 @pytest.mark.parametrize("name", sorted(STUDIES))

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from savwave import fem, schemes
 from savwave.model import make_problem, sav_radicand, spectral_discretization
-from savwave.noise import RngStream, sample_block
+from savwave.noise import RngStream, power_covariance, sample_block
 from savwave.schemes import (
     BlowUpError,
+    Integrator,
     SavState,
     modified_energy,
     pathwise_energy_residual,
@@ -14,7 +16,13 @@ from savwave.schemes import (
     step_midpoint_sav,
     substitution_residual,
 )
-from savwave.spectral import PairState, SpectralField, group_step, spectral_group_table
+from savwave.spectral import (
+    PairState,
+    SpectralField,
+    group_step,
+    spectral_group_table,
+    wave_group_table,
+)
 
 
 def initial_state(problem, ops):
@@ -264,3 +272,65 @@ class TestRunTrajectory:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(BlowUpError):
                 step_exponential_sav(state, np.zeros(4), table, problem, ops)
+
+    def test_noise_beyond_the_truncation_rejected(self):
+        problem = make_problem(modes=8, noise=power_covariance(16))
+        with pytest.raises(ValueError):
+            run_trajectory(problem, tau=0.1, n_steps=1, rng=RngStream(0))
+
+    @pytest.mark.parametrize("scheme", ["exponential", "midpoint"])
+    def test_fem_backend_steps_the_mapped_noise(self, scheme):
+        # noise with more sine modes than the mesh has eigenmodes is mapped,
+        # not padded; each record is the Integrator's step on that increment
+        system = fem.assemble(16)
+        ops = system.discretization
+        problem = make_problem(f="sine", g="sine", modes=16)
+        cmap = fem.noise_projection_matrix(system, 16)
+        initial = fem.initial_coefficients(system, problem)
+        tau = 2.0**-6
+        records = run_trajectory(problem, scheme=scheme, predictor="extrapolation", tau=tau,
+                                 n_steps=8, rng=RngStream(5, 0), ops=ops, initial=initial,
+                                 noise_map=cmap)
+        integ = Integrator(scheme, tau, problem, ops, schemes.initial_state(*initial, problem, ops),
+                           "extrapolation")
+        rng = RngStream(5, 0)
+        for record in records[1:]:
+            diag = integ.step(cmap @ sample_block(problem.noise, tau, 1, rng)[0],
+                              diagnostics=True)
+            assert record.V == float(diag.V) and record.q == float(diag.q)
+            assert abs(record.energy_residual) <= 1e-9 * (1.0 + record.V)
+
+
+class TestIntegrator:
+    @pytest.mark.parametrize("scheme, predictor", [("verlet", "identity"),
+                                                   ("exponential", "extrapolate")])
+    def test_unknown_names_rejected(self, scheme, predictor):
+        problem = make_problem(modes=8)
+        ops = spectral_discretization(8)
+        with pytest.raises(ValueError):
+            Integrator(scheme, 0.1, problem, ops, initial_state(problem, ops), predictor)
+
+    def test_each_scheme_gets_its_table(self):
+        problem = make_problem(modes=8)
+        ops = spectral_discretization(8)
+        state = initial_state(problem, ops)
+        expo = Integrator("exponential", 0.1, problem, ops, state)
+        assert np.array_equal(expo.table.cos, wave_group_table(ops.lam, 0.1).cos)
+        assert Integrator("midpoint", 0.1, problem, ops, state).table is None
+
+    @pytest.mark.parametrize("scheme", ["exponential", "midpoint"])
+    def test_extrapolation_uses_the_previous_step(self, scheme):
+        problem = make_problem(f="cubic", g="sine", modes=16)
+        ops = spectral_discretization(16)
+        tau = 2.0**-5
+        integ = Integrator(scheme, tau, problem, ops, initial_state(problem, ops),
+                           "extrapolation")
+        rng = RngStream(6, 0)
+        dws = sample_block(problem.noise, tau, 2, rng)
+        integ.step(dws[0])
+        prev, state = integ.u_prev, integ.state
+        integ.step(dws[1])
+        table = wave_group_table(ops.lam, tau)
+        res = substitution_residual(scheme, state, integ.state, dws[1], problem, ops,
+                                    table=table, tau=tau, u_hat=0.5 * (3.0 * state.u - prev))
+        assert np.max(res) <= 1e-10

@@ -8,7 +8,6 @@ from savwave.spectral import (
     SpectralField,
     eigenvalue,
     eigenvalues,
-    fractional_laplacian,
     group_step,
     sobolev_norm_sq,
     spectral_group_table,
@@ -41,23 +40,6 @@ class TestEigenvalues:
     def test_increasing(self):
         lam = eigenvalues(32)
         assert np.all(np.diff(lam) > 0)
-
-
-class TestFractionalLaplacian:
-    def test_eigenfunction(self):
-        out = fractional_laplacian(SpectralField.basis(1, 4), 1.0)
-        assert out.coeffs[0] == pytest.approx(np.pi**2, rel=1e-15)
-        assert np.all(out.coeffs[1:] == 0)
-
-    def test_zero_power_is_identity(self):
-        f = smooth_field(0, 16)
-        assert np.array_equal(fractional_laplacian(f, 0.0).coeffs, f.coeffs)
-
-    def test_half_powers_compose_to_identity(self):
-        f = smooth_field(1, 16)
-        back = fractional_laplacian(fractional_laplacian(f, 0.5), -0.5)
-        ulp = 4 * np.finfo(float).eps
-        assert np.all(np.abs(back.coeffs - f.coeffs) <= ulp * np.abs(f.coeffs))
 
 
 class TestSobolevNorm:

@@ -25,7 +25,7 @@ from .harness import (
     invariant_suite,
     strong_convergence,
 )
-from .model import ModelViolationError, make_problem
+from .model import DIFFUSIONS, DRIFTS, ModelViolationError, make_problem
 from .noise import RngStream, covariance_tail, power_covariance
 from .schemes import PREDICTORS, SCHEMES, BlowUpError, run_trajectory
 
@@ -95,6 +95,10 @@ class RunConfig:
         return n
 
     def validate(self):
+        if self.f not in DRIFTS:
+            raise ConfigError(f"invalid value for problem.f: {self.f}")
+        if self.g not in DIFFUSIONS:
+            raise ConfigError(f"invalid value for problem.g: {self.g}")
         if self.modes < 1:
             raise ConfigError(f"invalid value for space.modes: {self.modes}")
         if self.elements < 2:

@@ -7,6 +7,9 @@ sine basis: trig-operator tables act mode by mode on the discrete
 eigenvalues, and nonlinearities are evaluated at the mesh nodes.  The time
 steppers and `schemes.Integrator` run on `FemSystem.discretization` with the
 propagator table `wave_group_table(system.mu, tau)`.
+
+scipy.linalg is imported inside `assemble`, `l2_project` and `ritz_project`,
+the only callers, so a run that never builds a mesh never loads it.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .model import Discretization, QuadratureGrid
 from .spectral import SpectralField
@@ -94,6 +96,7 @@ def eigenvalue_closed_form(elements):
 
 def assemble(elements):
     """Mass/stiffness assembly plus the generalized eigendecomposition."""
+    import scipy.linalg
     if elements < 2:
         raise ValueError(f"need at least 2 elements, got {elements}")
     d = elements - 1
@@ -132,6 +135,7 @@ def l2_project(system, source):
     Loads are integrated by 3-point Gauss quadrature per element; an interior
     nodal vector is already in the space and is returned as-is.
     """
+    import scipy.linalg
     if isinstance(source, np.ndarray):
         if source.shape != (system.dim,):
             raise ValueError(f"expected {system.dim} interior values")
@@ -151,6 +155,7 @@ def ritz_project(system, source):
     (2u_i - u_{i-1} - u_{i+1})/h, so on a 1-d mesh the result coincides with
     nodal interpolation.
     """
+    import scipy.linalg
     if isinstance(source, np.ndarray):
         if source.shape != (system.dim,):
             raise ValueError(f"expected {system.dim} interior values")

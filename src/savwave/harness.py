@@ -36,7 +36,6 @@ from .schemes import (
 )
 
 __all__ = [
-    "Statistics",
     "ConvergenceStudy",
     "EnergyStudy",
     "AuxGapStudy",
@@ -51,21 +50,6 @@ __all__ = [
     "invariant_suite",
     "fit_loglog",
 ]
-
-@dataclass(frozen=True)
-class Statistics:
-    """Sample mean with its standard error (sample std / sqrt(count))."""
-
-    mean: float
-    stderr: float
-    count: int
-
-    @classmethod
-    def from_samples(cls, samples):
-        samples = np.asarray(samples, dtype=np.float64)
-        n = samples.size
-        se = float(np.std(samples, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-        return cls(float(np.mean(samples)), se, n)
 
 
 def fit_loglog(x, y):
@@ -231,7 +215,10 @@ def _one_blas_thread():
 
     A group's transforms are big enough for OpenBLAS to thread them, and
     workers that each do so outnumber the cores and spin.  Acts on every
-    OpenBLAS the process has loaded; other BLAS builds keep their setting.
+    OpenBLAS the process has loaded at pool start; other BLAS builds keep
+    their setting.  A FEM task loads scipy's OpenBLAS later, at its first
+    `fem.assemble`, with its default threads, for setup-only LAPACK calls on
+    mesh-sized matrices (63 x 63 at the default finest mesh, h = 2^-6).
     """
     try:
         with open("/proc/self/maps") as maps:

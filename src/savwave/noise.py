@@ -10,6 +10,9 @@ same path.
 Monte Carlo chunks draw through `increments`, which streams a batch of
 paths window by window: a chunk holds O(batch * K) noise whatever its step
 count, and every row is bit-identical to the matching `sample_block` row.
+
+scipy.special is imported inside `covariance_tail`, whose one caller is the
+footer of `simulate`, so no other run loads it.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import zeta
 
 __all__ = [
     "CovarianceSpec",
@@ -70,6 +72,7 @@ def trace(cov):
 
 def covariance_tail(cov):
     """Neglected tail sum_{k>K} q_k for a power-decay covariance, else None."""
+    from scipy.special import zeta
     if cov.decay is None or cov.decay <= 1.0:
         return None
     return float(zeta(cov.decay) - np.sum(cov.q))

@@ -175,7 +175,7 @@ def _step_inputs(state, dw, problem, ops, u_hat):
     u is synthesized once (or taken from the state's cache) and serves both
     g(u) and, when u_hat is u, the drift f(u_hat) and F(u_hat); a diffusion
     that is the drift (Problem.g_is_f, e.g. f = g = sine) is evaluated once.
-    Both analyses share one `project` call on the stacked [f; g*dW] values.
+    Both analyses share one `project` call on [f; g*dW], written into one buffer.
     """
     u = state.u
     vals = ops.nodal(u) if state.vals is None else state.vals
@@ -191,12 +191,13 @@ def _step_inputs(state, dw, problem, ops, u_hat):
     else:
         grad = ops.nodal_deriv(u) if problem.uses_gradient else None
         g_vals = problem.g(vals, grad)
-    g_dw = g_vals * ops.nodal(dw)
-    if f_vals.shape != g_dw.shape:
-        f_vals, g_dw = np.broadcast_arrays(f_vals, g_dw)
-    m = g_dw.shape[-1]
-    coeffs = ops.project(np.concatenate([f_vals.reshape(-1, m), g_dw.reshape(-1, m)]))
-    drift, g_inc = coeffs.reshape((2,) + g_dw.shape[:-1] + coeffs.shape[-1:])
+    dw_vals = ops.nodal(dw)
+    shape = np.broadcast_shapes(f_vals.shape, g_vals.shape, dw_vals.shape)
+    stacked = np.empty((2,) + shape)
+    stacked[0] = f_vals
+    np.multiply(g_vals, dw_vals, out=stacked[1])
+    coeffs = ops.project(stacked.reshape(-1, shape[-1]))
+    drift, g_inc = coeffs.reshape((2,) + shape[:-1] + coeffs.shape[-1:])
     return drift / np.sqrt(rad)[..., None], g_inc, g_vals
 
 
@@ -248,24 +249,23 @@ def step_exponential_sav(
     b, g_inc, g_vals = _step_inputs(state, dw, problem, ops, u_hat)
 
     bu = _dot(b, u)
-    gamma = (
-        table.cos * u
-        + table.a2 * (v + g_inc)
-        - table.a1 * b * q[..., None]
-        + 0.25 * table.a1 * b * bu[..., None]
-    )
-    denom = 1.0 + 0.25 * _dot(b, table.a1 * b)
+    vg = v + g_inc
+    a1b = table.a1 * b
+    qa1b = table.quarter_a1 * b
+    # In place, in the order of cos*u + a2*(v+G) - a1*b*q + (a1/4)*b*<b,u>.
+    gamma = table.cos * u + table.a2 * vg
+    gamma -= a1b * q[..., None]
+    gamma += qa1b * bu[..., None]
+    denom = 1.0 + 0.25 * _dot(b, a1b)
     if np.any(denom < 1.0):
         raise AssertionError("rank-one denominator dropped below 1")
     sigma = _dot(b, gamma) / denom
-    new_u = gamma - 0.25 * table.a1 * b * sigma[..., None]
+    new_u = gamma
+    new_u -= qa1b * sigma[..., None]
     new_q = q + 0.5 * (_dot(b, new_u) - bu)
     q_mid = 0.5 * (q + new_q)
-    new_v = (
-        -table.sqrt_lam * table.sin * u
-        + table.cos * (v + g_inc)
-        - table.a2 * b * q_mid[..., None]
-    )
+    new_v = table.neg_sqrt_lam_sin * u + table.cos * vg
+    new_v -= table.a2 * b * q_mid[..., None]
     _check_finite(new_u, new_v, new_q, state.n)
     if not diagnostics:
         return SavState(new_u, new_v, new_q, state.n + 1), None
@@ -304,23 +304,22 @@ def step_midpoint_sav(
     b, g_inc, g_vals = _step_inputs(state, dw, problem, ops, u_hat)
 
     tau2 = tau * tau
-    m_inv = 1.0 / (1.0 + 0.25 * tau2 * lam)
+    half_tau2, quarter_tau2, eighth_tau2 = 0.5 * tau2, 0.25 * tau2, 0.125 * tau2
+    lam_term = quarter_tau2 * lam
+    m_inv = 1.0 / (1.0 + lam_term)
     bu = _dot(b, u)
     g_in_u = tau * g_inc if balancing else 0.5 * tau * g_inc
-    r_vec = (
-        (1.0 - 0.25 * tau2 * lam) * u
-        + tau * v
-        + g_in_u
-        - 0.5 * tau2 * b * q[..., None]
-        + 0.125 * tau2 * b * bu[..., None]
-    )
+    r = (1.0 - lam_term) * u + tau * v + g_in_u
+    r -= half_tau2 * b * q[..., None]
+    r += eighth_tau2 * b * bu[..., None]
     w = m_inv * b
-    r = m_inv * r_vec
-    denom = 1.0 + 0.125 * tau2 * _dot(b, w)
+    r *= m_inv
+    denom = 1.0 + eighth_tau2 * _dot(b, w)
     if np.any(denom < 1.0):
         raise AssertionError("rank-one denominator dropped below 1")
     sigma = _dot(b, r) / denom
-    new_u = r - 0.125 * tau2 * w * sigma[..., None]
+    new_u = r
+    new_u -= eighth_tau2 * w * sigma[..., None]
     new_v = (2.0 / tau) * (new_u - u) - v - (g_inc if balancing else 0.0)
     new_q = q + 0.5 * (_dot(b, new_u) - bu)
     _check_finite(new_u, new_v, new_q, state.n)

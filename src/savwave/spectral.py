@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -128,6 +128,16 @@ class WaveGroupTable:
     @property
     def modes(self):
         return self.lam.size
+
+    @cached_property
+    def quarter_a1(self):
+        """0.25 * a1, the rank-one coupling coefficient of the exponential step."""
+        return 0.25 * self.a1
+
+    @cached_property
+    def neg_sqrt_lam_sin(self):
+        """-sqrt(lam) * sin, the u-to-v entry of the wave group."""
+        return -self.sqrt_lam * self.sin
 
 
 def wave_group_table(lam, tau):

@@ -63,6 +63,10 @@ class TestConfig:
         assert "banana" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value, backend", [
+        ("problem.f", "quintic", "spectral"),
+        ("problem.f", "quintic", "fem"),
+        ("problem.g", "cubic", "spectral"),
+        ("problem.g", "cubic", "fem"),
         ("scheme.variant", "verlet", "spectral"),
         ("scheme.variant", "verlet", "fem"),
         ("scheme.predictor", "extrapolate", "spectral"),

@@ -9,7 +9,6 @@ from savwave.harness import (
     ConvergenceStudy,
     EnergyStudy,
     SpatialStudy,
-    Statistics,
     WeakEnergyStudy,
     aux_gap_scaling,
     energy_evolution,
@@ -30,16 +29,7 @@ MINI = ConvergenceStudy(
 )
 
 
-class TestStatistics:
-    def test_from_samples(self):
-        s = Statistics.from_samples([1.0, 2.0, 3.0, 4.0])
-        assert s.mean == 2.5
-        assert s.count == 4
-        assert s.stderr == pytest.approx(np.std([1, 2, 3, 4], ddof=1) / 2.0)
-
-    def test_single_sample_has_zero_stderr(self):
-        assert Statistics.from_samples([3.0]).stderr == 0.0
-
+class TestFitLoglog:
     def test_loglog_fit_recovers_slope(self):
         x = np.array([0.5, 0.25, 0.125])
         slope, intercept = fit_loglog(x, 3.0 * x**1.5)

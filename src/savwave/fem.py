@@ -8,8 +8,9 @@ eigenvalues, and nonlinearities are evaluated at the mesh nodes.  The time
 steppers and `schemes.Integrator` run on `FemSystem.discretization` with the
 propagator table `wave_group_table(system.mu, tau)`.
 
-scipy.linalg is imported inside `assemble`, `l2_project` and `ritz_project`,
-the only callers, so a run that never builds a mesh never loads it.
+On a uniform mesh both matrices are tridiagonal Toeplitz, so the discrete
+sine vectors sin(j*k*pi*h) diagonalize both (Strang & Fix, 1973): every
+eigenpair is exact in closed form, with no eigensolver and no dense solve.
 """
 
 from __future__ import annotations
@@ -87,16 +88,18 @@ def _trapezoid_weights(elements):
 
 
 def eigenvalue_closed_form(elements):
-    """Discrete eigenvalues mu_k = (6/h^2)(1-cos(k*pi*h))/(2+cos(k*pi*h))."""
+    """mu_k = (6/h^2)(1 - cos theta_k)/(2 + cos theta_k), theta_k = k*pi*h, in half-angle form."""
     h = 1.0 / elements
-    k = np.arange(1, elements)
-    c = np.cos(k * np.pi * h)
-    return (6.0 / h**2) * (1.0 - c) / (2.0 + c)
+    theta = np.arange(1, elements) * np.pi * h
+    return 12.0 * np.sin(0.5 * theta) ** 2 / (h**2 * (2.0 + np.cos(theta)))
 
 
 def assemble(elements):
-    """Mass/stiffness assembly plus the generalized eigendecomposition."""
-    import scipy.linalg
+    """Mass/stiffness assembly plus the closed-form generalized eigenpairs.
+
+    phi[j-1, k-1] = sqrt(6/(2 + cos theta_k)) sin(j*theta_k), mass-orthonormal with a positive
+    first row; j*k is taken mod 2*elements so the sine's argument stays below 2*pi.
+    """
     if elements < 2:
         raise ValueError(f"need at least 2 elements, got {elements}")
     d = elements - 1
@@ -110,11 +113,10 @@ def assemble(elements):
     off = np.arange(d - 1)
     mass[off, off + 1] = mass[off + 1, off] = h / 6.0
     stiffness[off, off + 1] = stiffness[off + 1, off] = -1.0 / h
-    mu, phi = scipy.linalg.eigh(stiffness, mass)
-    # First interior value of every discrete mode is positive, matching the
-    # continuous sine convention; fixes the eigenvector sign ambiguity.
-    phi = phi * np.where(phi[0, :] < 0, -1.0, 1.0)
-    return FemSystem(elements, h, x, mass, stiffness, mu, phi)
+    k = np.arange(1, elements)
+    norm = np.sqrt(6.0 / (2.0 + np.cos(k * np.pi * h)))
+    phi = norm * np.sin(np.pi * (np.outer(k, k) % (2 * elements)) / elements)
+    return FemSystem(elements, h, x, mass, stiffness, eigenvalue_closed_form(elements), phi)
 
 
 def _gauss_points(system):
@@ -133,9 +135,9 @@ def l2_project(system, source):
     """L2 projection onto the element space: solve mass @ x = load.
 
     Loads are integrated by 3-point Gauss quadrature per element; an interior
-    nodal vector is already in the space and is returned as-is.
+    nodal vector is already in the space and is returned as-is.  The solve is
+    phi @ (phi.T @ load), as phi.T @ mass @ phi = I.
     """
-    import scipy.linalg
     if isinstance(source, np.ndarray):
         if source.shape != (system.dim,):
             raise ValueError(f"expected {system.dim} interior values")
@@ -145,7 +147,7 @@ def l2_project(system, source):
     to_right = scaled @ _GAUSS_T
     to_left = scaled @ (1.0 - _GAUSS_T)
     load = to_right[:-1] + to_left[1:]
-    return scipy.linalg.solve(system.mass, load, assume_a="pos")
+    return system.phi @ (system.phi.T @ load)
 
 
 def ritz_project(system, source):
@@ -153,16 +155,15 @@ def ritz_project(system, source):
 
     The gradient load against a hat function telescopes to nodal values,
     (2u_i - u_{i-1} - u_{i+1})/h, so on a 1-d mesh the result coincides with
-    nodal interpolation.
+    nodal interpolation.  The solve is phi @ ((phi.T @ load) / mu).
     """
-    import scipy.linalg
     if isinstance(source, np.ndarray):
         if source.shape != (system.dim,):
             raise ValueError(f"expected {system.dim} interior values")
         return source.copy()
     vals = _evaluate(source, system.x)
     load = (2.0 * vals[1:-1] - vals[:-2] - vals[2:]) / system.h
-    return scipy.linalg.solve(system.stiffness, load, assume_a="pos")
+    return system.phi @ ((system.phi.T @ load) / system.mu)
 
 
 def initial_coefficients(system, problem):

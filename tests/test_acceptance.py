@@ -198,6 +198,9 @@ def test_criterion_07_fem_structure():
     exact = eigenvalue_closed_form(32)
     mu_err = float(np.max(np.abs(system.mu - exact) / exact))
     assert mu_err <= 1e-10
+    resid = system.stiffness @ system.phi - (system.mass @ system.phi) * system.mu
+    pencil = float(np.max(np.max(np.abs(resid), axis=0) / system.mu))
+    assert pencil <= 1e-13
     ops = system.discretization
     problem = make_problem(f="sine", g="sine", modes=system.dim)
     u0, v0 = initial_coefficients(system, problem)
@@ -217,7 +220,8 @@ def test_criterion_07_fem_structure():
         state = integ.state
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
-    print(f"\n[PASS] criterion 7: FEM closed-form eigenvalues at {mu_err:.1e}, pathwise "
+    print(f"\n[PASS] criterion 7: FEM closed-form eigenvalues at {mu_err:.1e}, pencil "
+          f"residual {pencil:.1e} <= 1e-13, pathwise "
           f"residual {worst:.1e} <= 1e-9 at h=2^-5 ({elapsed:.1f}s)")
 
 

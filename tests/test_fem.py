@@ -50,6 +50,21 @@ class TestAssembly:
         exact = eigenvalue_closed_form(48)
         assert np.max(np.abs(system.mu - exact) / exact) <= 1e-10
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
+                        reason="long double is no wider than double here")
+    def test_eigenpairs_match_long_double_oracle(self):
+        # The P1 pencil's eigenpairs in extended precision, written in the
+        # classical (1 - cos) form and with the unreduced sine argument j*theta_k.
+        elements = 256
+        system = assemble(elements)
+        k = np.arange(1, elements).astype(np.longdouble)
+        theta = k * (4 * np.arctan(np.longdouble(1))) / elements
+        c = np.cos(theta)
+        mu = 6 * np.longdouble(elements) ** 2 * (1 - c) / (2 + c)
+        phi = np.sqrt(6 / (2 + c)) * np.sin(np.outer(k, theta))
+        assert float(np.max(np.abs(system.mu / mu - 1))) <= 1e-14
+        assert float(np.max(np.abs(system.phi - phi))) <= 1e-14
+
     def test_first_eigenvalue_near_continuum(self):
         system = assemble(64)
         assert abs(system.mu[0] - np.pi**2) / np.pi**2 < 1e-3

@@ -1,4 +1,11 @@
+import inspect
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -195,6 +202,51 @@ def test_pool_workers_run_one_blas_thread():
     assert counts and all(c == 1 for c in counts)
 
 
+FEM_POOL_PROBE = """
+import json
+from concurrent.futures import ProcessPoolExecutor
+
+import numpy as np
+
+from savwave import fem, harness
+from savwave.model import make_problem
+from savwave.schemes import Integrator, initial_state
+
+
+def fem_task():
+    system = fem.assemble(16)
+    ops = system.discretization
+    problem = make_problem(f="sine", g="sine", modes=system.dim)
+    u0, v0 = fem.initial_coefficients(system, problem)
+    integ = Integrator("exponential", 2.0**-6, problem, ops,
+                       initial_state(u0[None], v0[None], problem, ops))
+    integ.step(np.zeros((1, system.dim)))
+    return _openblas_threads()
+
+
+if __name__ == "__main__":
+    with ProcessPoolExecutor(1, initializer=harness._one_blas_thread) as pool:
+        print(json.dumps(pool.submit(fem_task).result(timeout=60)))
+"""
+
+
+def test_fem_pool_task_loads_no_blas_past_the_initializer(tmp_path):
+    # A library a task loads after the pool starts escapes the initializer's
+    # one-thread setting, so a FEM task must load none.  Run in a fresh
+    # interpreter: forked workers of this process inherit what it has loaded.
+    if not _openblas_threads():
+        pytest.skip("no OpenBLAS loaded")
+    script = tmp_path / "fem_pool_probe.py"
+    script.write_text(inspect.getsource(_openblas_threads) + FEM_POOL_PROBE)
+    env = dict(os.environ)
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, str(script)], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    counts = json.loads(out.stdout.strip().splitlines()[-1])
+    assert counts and all(c == 1 for c in counts)
+
+
 def _run_layouts(monkeypatch, study_fn, study, chunk_fn):
     """{(layout, workers): result} with chunks grouped per task, or one per task.
 
@@ -367,6 +419,17 @@ class TestInvariantSuite:
         results = invariant_suite(name_filter="spectral")
         assert results
         assert all(r.name.startswith("spectral") for r in results)
+
+    def test_pencil_residual_sees_a_perturbed_eigenvalue(self, monkeypatch):
+        assemble = harness.fem_mod.assemble
+
+        def perturbed(elements):
+            system = assemble(elements)
+            return replace(system, mu=system.mu * (1.0 + 1e-5))
+
+        assert harness._check_fem_pencil(None, None).passed
+        monkeypatch.setattr(harness.fem_mod, "assemble", perturbed)
+        assert not harness._check_fem_pencil(None, None).passed
 
     def test_dropping_balancing_term_fails_energy_checks(self):
         results = invariant_suite(mutations={"drop_balancing"})

@@ -8,6 +8,7 @@ import numpy as np
 
 from savwave.cli import write_csv
 from savwave.harness import AuxGapStudy, aux_gap_scaling
+from savwave.schemes import SCHEMES
 
 
 def main():
@@ -15,7 +16,7 @@ def main():
     p.add_argument("--out", type=Path, default=Path("results"))
     p.add_argument("--seed", type=int, default=12345)
     p.add_argument("--workers", type=int, default=4)
-    p.add_argument("--scheme", default="exponential", choices=["exponential", "midpoint"])
+    p.add_argument("--scheme", default="exponential", choices=tuple(SCHEMES))
     args = p.parse_args()
     args.out.mkdir(parents=True, exist_ok=True)
     study = AuxGapStudy(f="sine", g="sine", modes=64, T=1.0, tau_exps=(6, 7, 8, 9, 10),

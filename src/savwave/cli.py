@@ -83,7 +83,7 @@ class RunConfig:
     chunk: int = 25
     tau_exps: tuple = (8, 9, 10, 11, 12)
     ref_exp: int = 13
-    schemes: tuple = ("exponential", "midpoint")
+    schemes: tuple = tuple(SCHEMES)
     norm: str = "l2"
     reference_scheme: str = ""
     out_dir: str = "out"
@@ -415,12 +415,12 @@ def main(argv=None):
     pc = sub.add_parser("check")
     pc.add_argument("--filter", type=str, default=None, help="run only checks with this prefix")
     pc.add_argument("--seed", type=int, default=20260810)
-    pc.add_argument("--mutate", type=str, default=None, choices=["drop-balancing"],
+    pc.add_argument("--mutate", type=str, default=None, choices=["unbalanced-table"],
                     help="deliberately break the named piece; the check run must fail")
     args = parser.parse_args(argv)
 
     if args.command == "check":
-        mutations = {"drop_balancing"} if args.mutate == "drop-balancing" else set()
+        mutations = {"unbalanced_table"} if args.mutate == "unbalanced-table" else set()
         return cmd_check(args.filter, seed=args.seed, mutations=mutations)
 
     try:

@@ -4,9 +4,9 @@ The generalized eigendecomposition of the stiffness/mass pair gives a
 mass-orthonormal basis in which the discrete Laplacian is diagonal, so the
 finite element space plugs into the same coefficient-space machinery as the
 sine basis: trig-operator tables act mode by mode on the discrete
-eigenvalues, and nonlinearities are evaluated at the mesh nodes.  The time
-steppers and `schemes.Integrator` run on `FemSystem.discretization` with the
-propagator table `wave_group_table(system.mu, tau)`.
+eigenvalues, and nonlinearities are evaluated at the mesh nodes.
+`schemes.Integrator` steps on `FemSystem.discretization` with either
+scheme's propagator table of `system.mu` (`schemes.SCHEMES`).
 
 On a uniform mesh both matrices are tridiagonal Toeplitz, so the discrete
 sine vectors sin(j*k*pi*h) diagonalize both (Strang & Fix, 1973): every

@@ -27,6 +27,7 @@ from . import fem as fem_mod
 from .model import make_problem, spectral_discretization
 from .noise import RngStream, increments, trace as cov_trace, trace_operator
 from .schemes import (
+    SCHEMES,
     BlowUpError,
     Integrator,
     SavState,
@@ -79,7 +80,7 @@ class ConvergenceStudy:
     T: float = 1.0
     tau_exps: tuple = (8, 9, 10, 11, 12)
     ref_exp: int = 13
-    schemes: tuple = ("exponential", "midpoint")
+    schemes: tuple = tuple(SCHEMES)
     predictor: str = "identity"
     reference_scheme: str | None = None
     norm: str = "l2"
@@ -202,7 +203,7 @@ def _group(study, first, stop=None):
     lo = first * study.chunk
     hi = min(study.realizations, stop * study.chunk)
     streams = [RngStream(study.seed, i) for i in range(lo, hi)]
-    spans = [slice(a, min(a + study.chunk, hi)) for a in range(0, hi - lo, study.chunk)]
+    spans = [slice(a, min(a + study.chunk, hi - lo)) for a in range(0, hi - lo, study.chunk)]
     return streams, spans
 
 
@@ -833,14 +834,14 @@ def _pathwise_energy_worst(mutations, seed, fem=False):
     worst = 0.0
     batch = 4
     steps = 60
-    balancing = "drop_balancing" not in mutations
+    tau = 2.0**-7
     if fem:
         system = fem_mod.assemble(32)
         ops = system.discretization
     else:
         ops = spectral_discretization(32)
     configs = [(s, p, f, g)
-               for s in ("exponential", "midpoint")
+               for s in SCHEMES
                for p in ("identity", "extrapolation")
                for f in ("linear", "sine", "cubic")
                for g in ("constant", "sine")]
@@ -850,16 +851,17 @@ def _pathwise_energy_worst(mutations, seed, fem=False):
         if fem:
             initial = fem_mod.initial_coefficients(system, problem)
             cmap = fem_mod.noise_projection_matrix(system, problem.noise.modes)
-        integ = Integrator(scheme, 2.0**-7, problem, ops,
-                           _batched_initial(problem, ops, batch, initial), predictor,
-                           balancing=balancing)
+        integ = Integrator(scheme, tau, problem, ops,
+                           _batched_initial(problem, ops, batch, initial), predictor)
+        if "unbalanced_table" in mutations:
+            # a2 = tau in place of sin/sqrt(lam): the energy law needs a2 = sin/sqrt(lam)
+            integ.table = replace(integ.table, a2=np.full_like(integ.table.a2, tau))
         stream = RngStream(seed, 100 + i)
-        scale = np.sqrt(problem.noise.q * 2.0**-7)
+        scale = np.sqrt(problem.noise.q * tau)
         for _ in range(steps):
             dw = stream.normals((batch, problem.noise.modes)) * scale
             if cmap is not None:
                 dw = dw @ cmap.T
-            prev = integ.state
             diag = integ.step(dw, diagnostics=True)
             g_inc_res = np.max(np.abs(diag.energy_residual) / (1.0 + diag.V))
             worst = max(worst, float(g_inc_res))
@@ -876,7 +878,7 @@ def _check_schemes_conservation(_, seed):
     worst = 0.0
     problem = make_problem(f="sine", g="zero", modes=64)
     ops = spectral_discretization(64)
-    for scheme in ("exponential", "midpoint"):
+    for scheme in SCHEMES:
         integ = Integrator(scheme, 2.0**-8, problem, ops, _batched_initial(problem, ops, 1))
         v0 = float(integ.energy()[0])
         dw = np.zeros((1, 64))
@@ -909,7 +911,7 @@ def _substitution_worst(seed, fem=False):
     state = _random_states(rng, modes, 1000)
     dw = rng.standard_normal((1000, modes)) * np.sqrt(tau)
     scale = 1.0 + state_norm(state, ops.lam)
-    for scheme in ("exponential", "midpoint"):
+    for scheme in SCHEMES:
         integ = Integrator(scheme, tau, problem, ops, state)
         integ.step(dw)
         res = substitution_residual(scheme, state, integ.state, dw, problem, ops,
@@ -927,7 +929,7 @@ def _check_schemes_solvability(_, seed):
     problem = make_problem(f="cubic", g="sine", modes=32)
     ops = spectral_discretization(32)
     smallest = np.inf
-    for scheme in ("exponential", "midpoint"):
+    for scheme in SCHEMES:
         integ = Integrator(scheme, 2.0**-6, problem, ops, _batched_initial(problem, ops, 8))
         stream = RngStream(seed, 31)
         scale = np.sqrt(problem.noise.q * 2.0**-6)
@@ -1126,7 +1128,7 @@ def invariant_suite(name_filter=None, seed=20260810, mutations=frozenset()):
     """Run every structural check, optionally restricted to one module prefix.
 
     `mutations` deliberately breaks the named pieces (currently
-    'drop_balancing') so the corresponding checks must fail; this guards the
+    'unbalanced_table') so the corresponding checks must fail; this guards the
     suite itself against vacuous passes.
     """
     rng = np.random.default_rng(seed)

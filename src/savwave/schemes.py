@@ -1,11 +1,14 @@
 """Semi-implicit auxiliary-variable integrators for the stochastic wave system.
 
-Both steppers advance the triple (u, v, q), where q tracks
+One SAV step advances the triple (u, v, q), where q tracks
 sqrt(F(u) + delta0) and the drift enters only through the normalized
-direction b = f(u_hat)/sqrt(F(u_hat) + delta0).  The implicit coupling
-between u_{n+1} and q_{n+1} is a rank-one perturbation of a diagonal
-operator, so each step is solved exactly by one scalar division whose
-denominator is >= 1 by construction.  Both steppers satisfy, path by path,
+direction b = f(u_hat)/sqrt(F(u_hat) + delta0); a per-mode propagator table
+carries the linear part: the exact wave group for the exponential scheme,
+its Cayley (Crank-Nicolson) approximation for the midpoint scheme.  The
+implicit coupling between u_{n+1} and q_{n+1} is a rank-one perturbation of
+a diagonal operator, so each step is solved exactly by one scalar division
+whose denominator is >= 1 by construction.  Both schemes satisfy, path by
+path,
 
     V_{n+1} - V_n = <v_n, G_n> + 1/2 |G_n|^2,
     V = 1/2 |u|_{H1}^2 + 1/2 |v|_{L2}^2 + q^2,   G_n = g(u_n, du_n) dW_n,
@@ -15,7 +18,7 @@ expectations.  All state arrays have shape (..., K); leading axes batch
 independent realizations through identical arithmetic.
 
 `Integrator` is the one trajectory engine: it alone maps a scheme name to its
-stepper and propagator table, and it holds the predictor memory.  Every
+propagator table, and it holds the predictor memory.  Every
 driver (`run_trajectory`, the `simulate` command on either backend, the Monte
 Carlo studies and the invariant checks) steps through it.
 """
@@ -34,7 +37,7 @@ from .model import (
     spectral_discretization,
 )
 from .noise import sample_increment, trace_operator
-from .spectral import wave_group_table
+from .spectral import cayley_group_table, wave_group_table
 
 __all__ = [
     "BlowUpError",
@@ -56,7 +59,8 @@ __all__ = [
 ]
 
 PREDICTORS = ("identity", "extrapolation")
-SCHEMES = ("exponential", "midpoint")
+# Scheme name -> builder of its propagator table from (lam, tau).
+SCHEMES = {"exponential": wave_group_table, "midpoint": cayley_group_table}
 
 # Modified energy beyond which a path counts as blown up: run_trajectory
 # aborts, Monte Carlo studies park the path.  The value itself is arbitrary
@@ -149,7 +153,7 @@ def state_norm(state, lam):
 def pathwise_energy_residual(state_n, state_next, g_increment, lam):
     """Defect of V_{n+1} - V_n - <v_n, G_n> - 1/2 |G_n|^2 for one step.
 
-    Zero up to round-off for both steppers; with g = 0 it reduces to exact
+    Zero up to round-off for both schemes; with g = 0 it reduces to exact
     conservation of the modified energy.
     """
     v_old = modified_energy(state_n.u, state_n.v, state_n.q, lam)
@@ -231,12 +235,13 @@ def _diagnostics(problem, ops, state, new_u, new_v, new_q, g_inc, denom, trace_f
 def step_exponential_sav(
     state, dw, table, problem, ops, u_hat=None, diagnostics=True, trace_fn=None
 ):
-    """One step of the exponential-integrator scheme.
+    """One SAV step on the propagator `table`, the only stepper of both schemes.
 
-    The linear part is propagated by the exact wave group; the implicit
-    average (q_n + q_{n+1})/2 is eliminated against the q-update, leaving a
-    rank-one solve with denominator 1 + 1/4 <b, a1*b> >= 1 since a1 >= 0
-    mode by mode.
+    The linear part is propagated by the table: the exact wave group gives
+    the exponential scheme, the Cayley table the midpoint scheme.  The
+    implicit average (q_n + q_{n+1})/2 is eliminated against the q-update,
+    leaving a rank-one solve with denominator 1 + 1/4 <b, a1*b> >= 1 since
+    a1 >= 0 mode by mode.
 
     Cost per step: two syntheses (dW, and u or, with `diagnostics`,
     u_{n+1}; an extrapolated u_hat adds a third), one stacked analysis of
@@ -274,59 +279,11 @@ def step_exponential_sav(
     )
 
 
-def step_midpoint_sav(
-    state,
-    dw,
-    tau,
-    problem,
-    ops,
-    u_hat=None,
-    diagnostics=True,
-    trace_fn=None,
-    balancing=True,
-):
-    """One step of the midpoint scheme.
-
-    The eliminated displacement equation reads
-        (I + tau^2/4 lam) u_{n+1} + tau^2/8 b <b, u_{n+1}> = R_n,
-    solved by Sherman-Morrison with denominator >= 1.  The velocity is then
-    recovered from the displacement update identity, which makes that
-    equation hold exactly; the residual of the eliminated velocity equation
-    is what substitution_residual measures.  `balancing=False` drops the
-    (tau/2) g dW term from the displacement update (a deliberately broken
-    variant: it destroys the energy identity and exists so that the check
-    harness can demonstrate the term is load-bearing).
-
-    Per-step transform and pointwise cost as for step_exponential_sav.
-    """
-    u, v, q = state.u, state.v, state.q
-    lam = ops.lam
-    b, g_inc, g_vals = _step_inputs(state, dw, problem, ops, u_hat)
-
-    tau2 = tau * tau
-    half_tau2, quarter_tau2, eighth_tau2 = 0.5 * tau2, 0.25 * tau2, 0.125 * tau2
-    lam_term = quarter_tau2 * lam
-    m_inv = 1.0 / (1.0 + lam_term)
-    bu = _dot(b, u)
-    g_in_u = tau * g_inc if balancing else 0.5 * tau * g_inc
-    r = (1.0 - lam_term) * u + tau * v + g_in_u
-    r -= half_tau2 * b * q[..., None]
-    r += eighth_tau2 * b * bu[..., None]
-    w = m_inv * b
-    r *= m_inv
-    denom = 1.0 + eighth_tau2 * _dot(b, w)
-    if np.any(denom < 1.0):
-        raise AssertionError("rank-one denominator dropped below 1")
-    sigma = _dot(b, r) / denom
-    new_u = r
-    new_u -= eighth_tau2 * w * sigma[..., None]
-    new_v = (2.0 / tau) * (new_u - u) - v - (g_inc if balancing else 0.0)
-    new_q = q + 0.5 * (_dot(b, new_u) - bu)
-    _check_finite(new_u, new_v, new_q, state.n)
-    if not diagnostics:
-        return SavState(new_u, new_v, new_q, state.n + 1), None
-    return _diagnostics(
-        problem, ops, state, new_u, new_v, new_q, g_inc, denom, trace_fn, g_vals
+def step_midpoint_sav(state, dw, tau, problem, ops, u_hat=None, diagnostics=True, trace_fn=None):
+    """One step of the midpoint scheme: step_exponential_sav on the Cayley table of tau."""
+    return step_exponential_sav(
+        state, dw, cayley_group_table(ops.lam, tau), problem, ops,
+        u_hat=u_hat, diagnostics=diagnostics, trace_fn=trace_fn,
     )
 
 
@@ -370,7 +327,7 @@ def substitution_residual(
             - g_inc
         )
     else:
-        raise ValueError(f"unknown scheme '{scheme}'; choose from {SCHEMES}")
+        raise ValueError(f"unknown scheme '{scheme}'; choose from {tuple(SCHEMES)}")
     r3 = q1 - q - 0.5 * (_dot(b, u1) - _dot(b, u))
     norms = np.stack(
         [np.sqrt(_dot(r1, r1)), np.sqrt(_dot(r2, r2)), np.abs(r3)], axis=0
@@ -381,44 +338,33 @@ def substitution_residual(
 class Integrator:
     """Fixed-step batched integrator of one scheme, with predictor memory.
 
-    The only place where a scheme name selects its stepper and table: the
-    exponential scheme steps on the wave-group table of `ops.lam`, the
-    midpoint scheme on tau itself.  `balancing=False` is the midpoint
-    mutation hook (see step_midpoint_sav).
+    The only place where a scheme name selects its propagator table
+    (`SCHEMES[scheme](ops.lam, tau)`): the exponential scheme steps on the
+    wave group, the midpoint scheme on the Cayley table, both through
+    step_exponential_sav.
     """
 
-    def __init__(self, scheme, tau, problem, ops, state, predictor="identity",
-                 balancing=True, trace_fn=None):
+    def __init__(self, scheme, tau, problem, ops, state, predictor="identity", trace_fn=None):
         if scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme '{scheme}'; choose from {SCHEMES}")
+            raise ValueError(f"unknown scheme '{scheme}'; choose from {tuple(SCHEMES)}")
         if predictor not in PREDICTORS:
             raise ValueError(f"unknown predictor '{predictor}'; choose from {PREDICTORS}")
-        self.scheme = scheme
-        self.tau = tau
         self.problem = problem
         self.ops = ops
         self.state = state
         self.predictor = predictor
-        self.balancing = balancing
         self.trace_fn = trace_fn
         self.u_prev = state.u.copy()
-        self.table = wave_group_table(ops.lam, tau) if scheme == "exponential" else None
+        self.table = SCHEMES[scheme](ops.lam, tau)
 
     def step(self, dw, diagnostics=False):
         u = self.state.u
         u_hat = u if self.predictor == "identity" else 0.5 * (3.0 * u - self.u_prev)
         self.u_prev = u
-        if self.scheme == "exponential":
-            self.state, diag = step_exponential_sav(
-                self.state, dw, self.table, self.problem, self.ops,
-                u_hat=u_hat, diagnostics=diagnostics, trace_fn=self.trace_fn,
-            )
-        else:
-            self.state, diag = step_midpoint_sav(
-                self.state, dw, self.tau, self.problem, self.ops,
-                u_hat=u_hat, diagnostics=diagnostics, trace_fn=self.trace_fn,
-                balancing=self.balancing,
-            )
+        self.state, diag = step_exponential_sav(
+            self.state, dw, self.table, self.problem, self.ops,
+            u_hat=u_hat, diagnostics=diagnostics, trace_fn=self.trace_fn,
+        )
         return diag
 
     def energy(self):

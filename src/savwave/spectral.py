@@ -3,8 +3,9 @@
 Fields are stored as coefficient vectors in the orthonormal basis
 e_k(x) = sqrt(2)*sin(k*pi*x), k = 1..K, in which the negative Laplacian is
 diagonal with eigenvalues (k*pi)^2.  This module provides Sobolev norms,
-nodal transforms on uniform grids, and the exact propagator of the linear
-wave system built from the cosine/sine operator pair.
+nodal transforms on uniform grids, and the per-mode propagator tables of the
+linear wave system: the exact cosine/sine operator pair and its Cayley
+(Crank-Nicolson) approximation.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ __all__ = [
     "eigenvalues",
     "sobolev_norm_sq",
     "wave_group_table",
+    "cayley_group_table",
     "spectral_group_table",
     "group_step",
     "to_nodal",
@@ -100,11 +102,12 @@ class PairState:
 
 @dataclass(frozen=True)
 class WaveGroupTable:
-    """Per-mode values of the wave propagator over one step of size tau.
+    """Per-mode values of a wave propagator over one step of size tau.
 
-    cos/sin hold cos(tau*sqrt(lam_k)) and sin(tau*sqrt(lam_k)); a1 is the
-    nonnegative filter (1 - cos)/lam_k and a2 = sin/sqrt(lam_k).  Immutable
-    after construction and safe to share across threads.
+    cos/sin are cos(tau*sqrt(lam_k)) and sin(tau*sqrt(lam_k)), or their
+    Cayley approximation; a1 is the nonnegative filter (1 - cos)/lam_k and
+    a2 = sin/sqrt(lam_k).  Immutable after construction and safe to share
+    across threads.
     """
 
     tau: float
@@ -112,11 +115,12 @@ class WaveGroupTable:
     cos: np.ndarray
     sin: np.ndarray
     sqrt_lam: np.ndarray
-    inv_sqrt_lam: np.ndarray
     a1: np.ndarray
     a2: np.ndarray
 
     def __post_init__(self):
+        if self.tau < 0:
+            raise ValueError(f"step size must be >= 0, got {self.tau}")
         # cos^2 + sin^2 = 1 within 4 ulp, and a1 >= 0: both are load-bearing
         # for solvability of the eliminated step equations.
         pyth = self.cos**2 + self.sin**2 - 1.0
@@ -142,8 +146,6 @@ class WaveGroupTable:
 
 def wave_group_table(lam, tau):
     """Build the propagator table for eigenvalue array `lam` and step `tau`."""
-    if tau < 0:
-        raise ValueError(f"step size must be >= 0, got {tau}")
     lam = np.asarray(lam, dtype=np.float64)
     sqrt_lam = np.sqrt(lam)
     theta = tau * sqrt_lam
@@ -152,7 +154,26 @@ def wave_group_table(lam, tau):
     inv_sqrt_lam = 1.0 / sqrt_lam
     a1 = (1.0 - cos) / lam
     a2 = inv_sqrt_lam * sin
-    return WaveGroupTable(float(tau), lam, cos, sin, sqrt_lam, inv_sqrt_lam, a1, a2)
+    return WaveGroupTable(float(tau), lam, cos, sin, sqrt_lam, a1, a2)
+
+
+def cayley_group_table(lam, tau):
+    """Crank-Nicolson (Cayley) propagator table for eigenvalue array `lam` and step `tau`.
+
+    With m = 1 + tau^2 lam/4: cos = (1 - tau^2 lam/4)/m, sin = tau sqrt(lam)/m,
+    a1 = tau^2/(2m) and a2 = tau/m, the rational approximation of the wave
+    group (Hochbruck & Ostermann, Acta Numerica 2010).  The exponential SAV
+    step on this table is the midpoint scheme.
+    """
+    lam = np.asarray(lam, dtype=np.float64)
+    sqrt_lam = np.sqrt(lam)
+    lam_term = 0.25 * tau * tau * lam
+    m = 1.0 + lam_term
+    cos = (1.0 - lam_term) / m
+    sin = tau * sqrt_lam / m
+    a1 = 0.5 * tau * tau / m
+    a2 = tau / m
+    return WaveGroupTable(float(tau), lam, cos, sin, sqrt_lam, a1, a2)
 
 
 def spectral_group_table(modes, tau):

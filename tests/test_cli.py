@@ -201,7 +201,7 @@ class TestCheck:
         assert "fem." not in out
 
     def test_mutation_fails_and_names_energy_check(self, capsys):
-        assert main(["check", "--filter", "schemes", "--mutate", "drop-balancing"]) == 1
+        assert main(["check", "--filter", "schemes", "--mutate", "unbalanced-table"]) == 1
         out = capsys.readouterr().out
         assert "[FAIL] schemes.pathwise_energy" in out
 

@@ -85,7 +85,7 @@ class TestStrongConvergence:
         step = schemes.Integrator.step
 
         def recording_step(self, dw, diagnostics=False):
-            seen.setdefault(self.tau, []).append(dw.copy())
+            seen.setdefault(self.table.tau, []).append(dw.copy())
             return step(self, dw, diagnostics)
 
         monkeypatch.setattr(schemes.Integrator, "step", recording_step)
@@ -326,6 +326,14 @@ class TestChunkGroups:
             np.testing.assert_allclose(res.rms_error, base.rms_error, rtol=1e-12, atol=0)
 
 
+def test_group_spans_are_relative_to_the_group():
+    # chunks 3 and 4 of 14 realizations in chunks of 3: rows 9..11 and 12..13
+    study = EnergyStudy(realizations=14, chunk=3)
+    streams, spans = harness._group(study, 3, 5)
+    assert len(streams) == 5
+    assert spans == [slice(0, 3), slice(3, 5)]
+
+
 class TestAuxGap:
     def test_zero_drift_keeps_gap_zero(self):
         study = AuxGapStudy(f="zero", g="sine", modes=16, T=0.25, tau_exps=(5, 6),
@@ -432,7 +440,7 @@ class TestInvariantSuite:
         assert not harness._check_fem_pencil(None, None).passed
 
     def test_dropping_balancing_term_fails_energy_checks(self):
-        results = invariant_suite(mutations={"drop_balancing"})
+        results = invariant_suite(mutations={"unbalanced_table"})
         failed = {r.name for r in results if not r.passed}
         assert "schemes.pathwise_energy" in failed
         assert "fem.pathwise_energy" in failed

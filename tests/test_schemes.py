@@ -1,8 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from savwave import fem, schemes
-from savwave.model import make_problem, sav_radicand, spectral_discretization
+from savwave.model import (
+    apply_g_core,
+    drift_core,
+    make_problem,
+    sav_radicand,
+    spectral_discretization,
+)
 from savwave.noise import RngStream, power_covariance, sample_block
 from savwave.schemes import (
     BlowUpError,
@@ -19,6 +27,7 @@ from savwave.schemes import (
 from savwave.spectral import (
     PairState,
     SpectralField,
+    cayley_group_table,
     group_step,
     spectral_group_table,
     wave_group_table,
@@ -116,6 +125,41 @@ class TestSubstitutionOracle:
         bound = 1e-10 * (1.0 + state_norm(state, ops.lam))
         assert np.all(res <= bound)
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
+                        reason="long double is no wider than double here")
+    def test_midpoint_velocity_matches_long_double_solve(self):
+        # One midpoint step at the criterion-4 reference step, solved in long
+        # double from the un-eliminated equations
+        #   u1 - u = tau/2 (v + v1) + tau/2 G,
+        #   v1 - v = -tau/2 lam (u + u1) - tau b (q + q1)/2 + G,
+        #   q1 - q = 1/2 <b, u1 - u>,
+        # with v1 taken from the second equation, so no step divides by tau.
+        modes = 48
+        tau = 2.0**-13
+        problem = make_problem(f="cubic", g="sine", modes=modes)
+        ops = spectral_discretization(modes)
+        state, dw = random_states(17, modes, 64)
+        dw = dw * np.sqrt(tau)
+        new, _ = step_midpoint_sav(state, dw, tau, problem, ops)
+
+        ld = np.longdouble
+        b = drift_core(state.u, problem, ops)[0].astype(ld)
+        g_inc = apply_g_core(state.u, dw, problem, ops).astype(ld)
+        u, v, q = state.u.astype(ld), state.v.astype(ld), state.q.astype(ld)
+        lam, t = ops.lam.astype(ld), ld(tau)
+        m = 1 + t * t * lam / 4
+        bu = np.sum(b * u, axis=-1)
+        rhs = ((1 - t * t * lam / 4) * u + t * v + t * g_inc
+               - t * t / 2 * b * q[:, None] + t * t / 8 * b * bu[:, None]) / m
+        w = b / m
+        sigma = np.sum(b * rhs, axis=-1) / (1 + t * t / 8 * np.sum(b * w, axis=-1))
+        u1 = rhs - t * t / 8 * w * sigma[:, None]
+        q_mid = q + (np.sum(b * u1, axis=-1) - bu) / 4
+        v1 = v - t / 2 * lam * (u + u1) - t * b * q_mid[:, None] + g_inc
+
+        err = np.max(np.abs(new.v - v1), axis=-1) / np.max(np.abs(v1), axis=-1)
+        assert float(np.max(err)) <= 1e-13
+
     def test_denominators_at_least_one(self):
         modes = 32
         problem = make_problem(f="cubic", g="sine", modes=modes)
@@ -194,23 +238,25 @@ class TestPathwiseEnergyIdentity:
         table = spectral_group_table(modes, 0.01)
         state, dw = random_states(3, modes, 4)
         new, diag = step_exponential_sav(state, dw, table, problem, ops)
-        from savwave.model import apply_g_core
-
         g_inc = apply_g_core(state.u, dw, problem, ops)
         res = pathwise_energy_residual(state, new, g_inc, ops.lam)
         assert np.max(np.abs(res - diag.energy_residual)) <= 1e-14
 
-    def test_dropping_balancing_term_breaks_the_identity(self):
+    @pytest.mark.parametrize("scheme", list(schemes.SCHEMES))
+    def test_unbalanced_table_breaks_the_identity(self, scheme):
+        # the energy law needs a2 = sin/sqrt(lam); a2 = tau breaks it
         modes = 32
         tau = 2.0**-6
         problem = make_problem(f="sine", g="sine", modes=modes)
         ops = spectral_discretization(modes)
+        table = schemes.SCHEMES[scheme](ops.lam, tau)
+        table = dataclasses.replace(table, a2=np.full_like(table.a2, tau))
         state = initial_state(problem, ops)
         rng = RngStream(77, 0)
         worst = 0.0
         for _ in range(20):
             dw = sample_block(problem.noise, tau, 1, rng)[0]
-            state, diag = step_midpoint_sav(state, dw, tau, problem, ops, balancing=False)
+            state, diag = step_exponential_sav(state, dw, table, problem, ops)
             worst = max(worst, float(np.abs(diag.energy_residual) / (1 + diag.V)))
         assert worst > 1e-7
 
@@ -316,7 +362,10 @@ class TestIntegrator:
         state = initial_state(problem, ops)
         expo = Integrator("exponential", 0.1, problem, ops, state)
         assert np.array_equal(expo.table.cos, wave_group_table(ops.lam, 0.1).cos)
-        assert Integrator("midpoint", 0.1, problem, ops, state).table is None
+        mid = Integrator("midpoint", 0.1, problem, ops, state)
+        cayley = cayley_group_table(ops.lam, 0.1)
+        for name in ("cos", "sin", "a1", "a2"):
+            assert np.array_equal(getattr(mid.table, name), getattr(cayley, name))
 
     @pytest.mark.parametrize("scheme", ["exponential", "midpoint"])
     def test_extrapolation_uses_the_previous_step(self, scheme):

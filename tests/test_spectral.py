@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from savwave.spectral import (
     PairState,
     SpectralField,
+    cayley_group_table,
     eigenvalue,
     eigenvalues,
     group_step,
@@ -123,6 +124,19 @@ class TestWaveGroup:
             table = spectral_group_table(64, tau)
             assert np.all(table.a1 >= 0)
             assert np.max(np.abs(table.cos**2 + table.sin**2 - 1)) <= 4 * np.finfo(float).eps
+
+    @given(log_lam=st.lists(st.floats(0.0, 8.0), min_size=1, max_size=16),
+           log_tau=st.floats(-6.0, 0.0))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_cayley_table_property(self, log_lam, log_tau):
+        # lam in [1, 1e8], tau in [1e-6, 1]: the table guards pass (the
+        # constructor raises otherwise) and a1, a2 meet the energy law's
+        # relations to the rotation within 4 ulp
+        lam = 10.0 ** np.array(log_lam)
+        table = cayley_group_table(lam, 10.0**log_tau)
+        ulp = np.finfo(float).eps
+        assert np.all(np.abs(lam * table.a1 + table.cos - 1.0) <= 4 * ulp)
+        assert np.all(np.abs(table.a2 * np.sqrt(lam) - table.sin) <= 4 * ulp)
 
 
 class TestNodalTransforms:

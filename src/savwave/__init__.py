@@ -12,11 +12,9 @@ from .model import (
 )
 from .noise import (
     CovarianceSpec,
-    NoiseIncrement,
     RngStream,
     coupled_path,
     power_covariance,
-    sample_increment,
     trace,
 )
 from .schemes import (
@@ -34,12 +32,10 @@ from .schemes import (
     substitution_residual,
 )
 from .spectral import (
-    PairState,
     SpectralField,
     WaveGroupTable,
     eigenvalue,
     eigenvalues,
-    group_step,
     sobolev_norm_sq,
     spectral_group_table,
     to_nodal,

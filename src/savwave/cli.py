@@ -18,13 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import fem as fem_mod
-from .harness import (
-    ConvergenceStudy,
-    EnergyStudy,
-    energy_evolution,
-    invariant_suite,
-    strong_convergence,
-)
+from .checks import invariant_suite
+from .harness import ConvergenceStudy, EnergyStudy, energy_evolution, strong_convergence
 from .model import DIFFUSIONS, DRIFTS, ModelViolationError, make_problem
 from .noise import RngStream, covariance_tail, power_covariance
 from .schemes import PREDICTORS, SCHEMES, BlowUpError, run_trajectory

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import Discretization, QuadratureGrid
+from .model import Discretization, uniform_grid
 from .spectral import SpectralField
 
 __all__ = [
@@ -63,28 +63,13 @@ class FemSystem:
         """Coefficient-space view: eigen-coefficients vs mesh nodal values."""
         d = self.dim
         n = self.elements + 1
-        grid = QuadratureGrid(self.x, _trapezoid_weights(self.elements))
         synth = np.zeros((n, d))
         synth[1:-1, :] = self.phi
         analysis = np.zeros((d, n))
         analysis[:, 1:-1] = self.phi.T @ self.mass
-        diff = np.zeros((n, n))
-        inv_h = 1.0 / self.h
-        diff[0, 0], diff[0, 1] = -inv_h, inv_h
-        diff[-1, -2], diff[-1, -1] = -inv_h, inv_h
-        rows = np.arange(1, n - 1)
-        diff[rows, rows - 1] = -0.5 * inv_h
-        diff[rows, rows + 1] = 0.5 * inv_h
         gram = np.zeros((n, n))
         gram[1:-1, 1:-1] = self.mass
-        return Discretization(self.mu, grid, synth, analysis, diff @ synth, gram)
-
-
-def _trapezoid_weights(elements):
-    w = np.full(elements + 1, 1.0 / elements)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return w
+        return Discretization(self.mu, uniform_grid(self.elements), synth, analysis, gram)
 
 
 def eigenvalue_closed_form(elements):

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .noise import CovarianceSpec, power_covariance
-from .spectral import SpectralField, _derivative_matrix, _synthesis_matrix, eigenvalues
+from .spectral import SpectralField, _synthesis_matrix, eigenvalues
 
 __all__ = [
     "ModelViolationError",
@@ -84,7 +84,6 @@ class Discretization:
     grid: QuadratureGrid
     synth: np.ndarray
     analysis: np.ndarray
-    dsynth: np.ndarray
     l2_gram: np.ndarray | None = None
 
     @property
@@ -102,9 +101,6 @@ class Discretization:
     def nodal(self, coeffs):
         return coeffs @ self.synth.T
 
-    def nodal_deriv(self, coeffs):
-        return coeffs @ self.dsynth.T
-
     def project(self, values):
         return values @ self.analysis.T
 
@@ -121,9 +117,8 @@ def spectral_discretization(modes, grid_factor=2, grid_points=None):
         raise ValueError(f"grid with {m} intervals cannot resolve {modes} modes")
     grid = uniform_grid(m)
     synth = np.array(_synthesis_matrix(modes, m))
-    dsynth = np.array(_derivative_matrix(modes, m))
     analysis = (synth * grid.weights[:, None]).T
-    return Discretization(eigenvalues(modes), grid, synth, analysis, dsynth)
+    return Discretization(eigenvalues(modes), grid, synth, analysis)
 
 
 def _zero(u):
@@ -143,22 +138,14 @@ DRIFTS = {
 }
 
 
-def _of_u(fn):
-    """Diffusion g(u, u_x) = fn(u) that records fn as `of_u` (see Problem.g_is_f)."""
-
-    def g(u, ux):
-        return fn(u)
-
-    g.of_u = fn
-    return g
-
-
-# Built-in diffusions as maps of (u, u_x); only "constant" uses sigma.
+# Built-in diffusions g(u), each built from sigma (only "constant" uses it).
+# "zero", "sine" and "linear" return the drift registry's own functions, so
+# Problem.g_is_f holds when f and g are registered under the same name.
 DIFFUSIONS = {
-    "zero": lambda sigma: _of_u(_zero),
-    "constant": lambda sigma: (lambda u, ux: np.full_like(u, sigma)),
-    "sine": lambda sigma: _of_u(np.sin),
-    "linear": lambda sigma: _of_u(_identity),
+    "zero": lambda sigma: _zero,
+    "constant": lambda sigma: (lambda u: np.full_like(u, sigma)),
+    "sine": lambda sigma: np.sin,
+    "linear": lambda sigma: _identity,
 }
 
 
@@ -173,10 +160,6 @@ class Problem:
     u0: SpectralField
     v0: SpectralField
     noise: CovarianceSpec
-    f_name: str = ""
-    g_name: str = ""
-    sigma: float = 1.0
-    uses_gradient: bool = False
 
     def __post_init__(self):
         if self.delta0 <= 0:
@@ -184,8 +167,8 @@ class Problem:
 
     @property
     def g_is_f(self):
-        """True when g(u, u_x) is f(u) pointwise, so one evaluation serves both."""
-        return getattr(self.g, "of_u", None) is self.f
+        """True when g is f itself, so one evaluation serves both."""
+        return self.g is self.f
 
 
 def default_initial_displacement(modes):
@@ -227,9 +210,6 @@ def make_problem(
         u0=u0,
         v0=v0,
         noise=noise,
-        f_name=f,
-        g_name=g,
-        sigma=sigma,
     )
 
 
@@ -274,12 +254,10 @@ def drift_core(u_hat, problem, ops):
 
 
 def diffusion_values(u, problem, ops):
-    """Nodal values of g(u, u_x); the gradient is synthesized only when used."""
-    vals = ops.nodal(u)
-    grad = ops.nodal_deriv(u) if problem.uses_gradient else None
-    return problem.g(vals, grad)
+    """Nodal values of g(u)."""
+    return problem.g(ops.nodal(u))
 
 
 def apply_g_core(u, dw, problem, ops):
-    """Project the nodal product g(u, u_x)*dW back to coefficient space."""
+    """Project the nodal product g(u)*dW back to coefficient space."""
     return ops.project(diffusion_values(u, problem, ops) * ops.nodal(dw))

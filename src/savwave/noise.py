@@ -7,9 +7,10 @@ Monte Carlo results never depend on scheduling, and coarse increments for
 convergence studies are defined as in-order sums of fine increments of the
 same path.
 
-Monte Carlo chunks draw through `increments`, which streams a batch of
-paths window by window: a chunk holds O(batch * K) noise whatever its step
-count, and every row is bit-identical to the matching `sample_block` row.
+Every trajectory draws through `increments`, which streams a batch of
+paths window by window: a Monte Carlo chunk holds O(batch * K) noise
+whatever its step count, and every row is bit-identical to the matching
+`sample_block` row.
 
 scipy.special is imported inside `covariance_tail`, whose one caller is the
 footer of `simulate`, so no other run loads it.
@@ -17,18 +18,16 @@ footer of `simulate`, so no other run loads it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "CovarianceSpec",
-    "NoiseIncrement",
     "RngStream",
     "power_covariance",
     "trace",
     "covariance_tail",
-    "sample_increment",
     "sample_block",
     "increments",
     "coupled_path",
@@ -100,28 +99,6 @@ class RngStream:
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, index={self.index}, counter={self.counter})"
-
-
-@dataclass(frozen=True)
-class NoiseIncrement:
-    """One Wiener increment: sine coefficients sqrt(q_k*tau)*xi_k over step tau."""
-
-    coeffs: np.ndarray
-    tau: float
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=np.float64)
-        if not np.all(np.isfinite(c)):
-            raise ValueError("increment coefficients must be finite")
-        object.__setattr__(self, "coeffs", c)
-
-
-def sample_increment(cov, tau, rng):
-    """Draw one increment with per-mode standard deviation sqrt(q_k*tau)."""
-    if tau <= 0:
-        raise ValueError(f"step size must be positive, got {tau}")
-    xi = rng.normals(cov.modes)
-    return NoiseIncrement(np.sqrt(cov.q * tau) * xi, float(tau))
 
 
 def sample_block(cov, tau, n_steps, rng):

@@ -11,7 +11,7 @@ whose denominator is >= 1 by construction.  Both schemes satisfy, path by
 path,
 
     V_{n+1} - V_n = <v_n, G_n> + 1/2 |G_n|^2,
-    V = 1/2 |u|_{H1}^2 + 1/2 |v|_{L2}^2 + q^2,   G_n = g(u_n, du_n) dW_n,
+    V = 1/2 |u|_{H1}^2 + 1/2 |v|_{L2}^2 + q^2,   G_n = g(u_n) dW_n,
 
 which yields the linear-in-time growth of the averaged energy after taking
 expectations.  All state arrays have shape (..., K); leading axes batch
@@ -36,7 +36,7 @@ from .model import (
     nodal_radicand,
     spectral_discretization,
 )
-from .noise import sample_increment, trace_operator
+from .noise import increments, trace_operator
 from .spectral import cayley_group_table, wave_group_table
 
 __all__ = [
@@ -193,8 +193,7 @@ def _step_inputs(state, dw, problem, ops, u_hat):
     if u_vals is vals and problem.g_is_f:
         g_vals = f_vals
     else:
-        grad = ops.nodal_deriv(u) if problem.uses_gradient else None
-        g_vals = problem.g(vals, grad)
+        g_vals = problem.g(vals)
     dw_vals = ops.nodal(dw)
     shape = np.broadcast_shapes(f_vals.shape, g_vals.shape, dw_vals.shape)
     stacked = np.empty((2,) + shape)
@@ -410,7 +409,9 @@ def run_trajectory(
     run passes its `ops`, `initial` = fem.initial_coefficients and
     `noise_map` = fem.noise_projection_matrix (sine increments to
     eigen-coefficients).  q_0 = sqrt(F(u_0)+delta0) exactly (zero initial
-    gap); the run aborts with BlowUpError once V exceeds `guard`.
+    gap); the run aborts with BlowUpError once V exceeds `guard`.  The
+    increments are `noise.increments` of the one stream `rng`, so step n
+    uses row n of `sample_block(problem.noise, tau, n_steps, rng)`.
     """
     if ops is None:
         ops = spectral_discretization(problem.u0.modes)
@@ -431,8 +432,7 @@ def run_trajectory(
         q=float(state.q), aux_gap=0.0, energy_residual=0.0,
         trace_term=float(trace_fn(diffusion_values(state.u, problem, ops))),
     )]
-    for n in range(n_steps):
-        dw = sample_increment(problem.noise, tau, rng).coeffs
+    for n, (dw,) in enumerate(increments(problem.noise, tau, n_steps, [rng])):
         if noise_map is not None:
             dw = noise_map @ dw
         elif problem.noise.modes < ops.modes:

@@ -18,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "SpectralField",
-    "PairState",
     "WaveGroupTable",
     "eigenvalue",
     "eigenvalues",
@@ -26,7 +25,6 @@ __all__ = [
     "wave_group_table",
     "cayley_group_table",
     "spectral_group_table",
-    "group_step",
     "to_nodal",
     "to_spectral",
 ]
@@ -76,28 +74,14 @@ class SpectralField:
         return cls(c)
 
 
-def _check_same_modes(a, b):
-    if a.modes != b.modes:
-        raise ValueError(f"mode counts differ: {a.modes} vs {b.modes}")
-
-
-@dataclass(frozen=True)
-class PairState:
-    """Displacement/velocity pair (u, v) sharing one truncation level.
-
-    With group_step, an independent oracle of the linear propagator that the
-    exponential stepper must reduce to when f = g = 0.
-    """
-
-    u: SpectralField
-    v: SpectralField
-
-    def __post_init__(self):
-        _check_same_modes(self.u, self.v)
-
-    @property
-    def modes(self):
-        return self.u.modes
+# Round-off bound on cos^2 + sin^2 - 1 for both table builders, to first
+# order in u = eps/2.  Rounding the two squares and their sum adds at most
+# 2u.  Wave group: np.cos and np.sin of the computed angle are within 1 ulp
+# (relative 2u each), so the defect is at most 2*2u + 2u = 3 eps.  Cayley:
+# against the computed lam_term x, cos = (1 - x)/m carries 3u (difference,
+# m, division) and sin = tau*sqrt(lam)/m carries 5u (sqrt, product, half of
+# the 2u in x, m, division), so the defect is at most 2*5u + 2u = 6 eps.
+_PYTH_BOUND = 8 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -121,10 +105,10 @@ class WaveGroupTable:
     def __post_init__(self):
         if self.tau < 0:
             raise ValueError(f"step size must be >= 0, got {self.tau}")
-        # cos^2 + sin^2 = 1 within 4 ulp, and a1 >= 0: both are load-bearing
-        # for solvability of the eliminated step equations.
+        # cos^2 + sin^2 = 1 within _PYTH_BOUND, and a1 >= 0: both are
+        # load-bearing for solvability of the eliminated step equations.
         pyth = self.cos**2 + self.sin**2 - 1.0
-        if np.max(np.abs(pyth)) > 4 * np.finfo(float).eps:
+        if np.max(np.abs(pyth)) > _PYTH_BOUND:
             raise ValueError("cos/sin table violates the trigonometric identity")
         if np.any(self.a1 < 0.0):
             raise ValueError("a1 filter must be nonnegative")
@@ -186,21 +170,6 @@ def spectral_group_table(modes, tau):
     return wave_group_table(eigenvalues(modes), tau)
 
 
-def group_step(x, table):
-    """Advance a pair state by one application of the wave group (oracle, see PairState).
-
-    Per mode: u' = cos*u + (sin/sqrt(lam))*v, v' = -sqrt(lam)*sin*u + cos*v;
-    preserves the energy 1/2|u|_{H1}^2 + 1/2|v|_{L2}^2 exactly.
-    """
-    if x.modes != table.modes:
-        raise ValueError(f"mode counts differ: state {x.modes} vs table {table.modes}")
-    u = x.u.coeffs
-    v = x.v.coeffs
-    u_new = table.cos * u + table.a2 * v
-    v_new = -table.sqrt_lam * table.sin * u + table.cos * v
-    return PairState(SpectralField(u_new), SpectralField(v_new))
-
-
 def sobolev_norm_sq(f, r=0.0):
     """Squared H^r norm, sum_k lam_k^r * coeff_k^2; r = 0 is Parseval."""
     if r == 0:
@@ -220,16 +189,6 @@ def _synthesis_matrix(modes, grid_points):
     mat = np.sqrt(2.0) * np.sin(np.pi * np.outer(j, k) / grid_points)
     mat[0, :] = 0.0
     mat[-1, :] = 0.0
-    mat.setflags(write=False)
-    return mat
-
-
-@lru_cache(maxsize=32)
-def _derivative_matrix(modes, grid_points):
-    """(grid_points+1, modes) map from coefficients to nodal d/dx values."""
-    j = np.arange(grid_points + 1)
-    k = np.arange(1, modes + 1)
-    mat = np.sqrt(2.0) * (k * np.pi) * np.cos(np.pi * np.outer(j, k) / grid_points)
     mat.setflags(write=False)
     return mat
 

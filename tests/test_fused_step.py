@@ -16,7 +16,6 @@ from savwave import cli, fem
 from savwave.harness import _batched_initial
 from savwave.model import (
     Discretization,
-    _of_u,
     make_problem,
     spectral_discretization,
 )
@@ -210,7 +209,7 @@ def test_pointwise_map_shared_by_f_and_g_is_evaluated_once(shared):
     assert base.g_is_f
     f_calls, g_calls, F_calls = [], [], []
     f = counting(np.sin, f_calls)
-    g = _of_u(f if shared else counting(np.sin, g_calls))
+    g = f if shared else counting(np.sin, g_calls)
     problem = replace(base, f=f, g=g, Ftilde=counting(base.Ftilde, F_calls))
     assert problem.g_is_f is shared
     ops = spectral_discretization(24)
@@ -237,5 +236,5 @@ def test_fem_simulate_step_zero_trace_term_is_finite():
     ops = system.discretization
     problem = make_problem(modes=16)
     u0c, _ = fem.initial_coefficients(system, problem)
-    expect = trace_operator(problem.noise, ops)(problem.g(ops.nodal(u0c), None))
+    expect = trace_operator(problem.noise, ops)(problem.g(ops.nodal(u0c)))
     assert records[0].trace_term == pytest.approx(float(expect), rel=1e-14)

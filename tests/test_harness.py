@@ -10,22 +10,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from savwave import harness, noise, schemes
+from savwave import checks, harness, noise, schemes
+from savwave.checks import invariant_suite
 from savwave.harness import (
     AuxGapStudy,
     ConvergenceStudy,
     EnergyStudy,
     SpatialStudy,
-    WeakEnergyStudy,
     aux_gap_scaling,
     energy_evolution,
     fit_loglog,
     _convergence_chunk,
     _energy_chunk,
-    invariant_suite,
     spatial_refinement,
     strong_convergence,
-    weak_energy_error,
 )
 from savwave.model import make_problem, spectral_discretization
 from savwave.noise import RngStream, power_covariance, trace_operator
@@ -371,52 +369,6 @@ class TestSpatialRefinement:
         assert res.slope >= 0.6
 
 
-class TestWeakEnergy:
-    def test_additive_drift_shrinks_with_mesh(self):
-        drifts = []
-        for elems in (8, 16):
-            study = WeakEnergyStudy(f="linear", g="constant", elements=elems,
-                                    ref_modes=64, T=0.5, tau=2.0**-6,
-                                    realizations=64, seed=17, chunk=32)
-            res = weak_energy_error(study)
-            drifts.append(res.drift[-1])
-        assert drifts[1] < drifts[0]
-
-    def test_multiplicative_drift_monotone_over_two_levels(self):
-        drifts = []
-        for elems in (16, 32):
-            study = WeakEnergyStudy(f="sine", g="sine", elements=elems,
-                                    ref_modes=64, T=0.5, tau=2.0**-6,
-                                    realizations=64, seed=17, chunk=32)
-            res = weak_energy_error(study)
-            drifts.append(res.drift[-1])
-        assert drifts[1] < drifts[0]
-
-    def test_err0_is_initialization_defect(self):
-        study = WeakEnergyStudy(f="sine", g="sine", elements=16, ref_modes=64,
-                                T=0.25, tau=2.0**-6, realizations=8, seed=2, chunk=8)
-        res = weak_energy_error(study)
-        assert res.gap[0] == res.err0
-        # err0 is dominated by the delta0 offset carried by q^2
-        assert 0.8 <= res.err0 <= 1.05
-
-    def test_matched_discretization_gap_is_initialization_only(self):
-        # V - V1 = q^2 - F(u) stays within O(tau) of its initial value delta0
-        from savwave.model import make_problem
-        from savwave.noise import RngStream
-        from savwave.schemes import run_trajectory
-
-        problem = make_problem(f="sine", g="sine", modes=32)
-        tau = 2.0**-7
-        diffs = np.zeros(33)
-        paths = 4
-        for i in range(paths):
-            records = run_trajectory(problem, tau=tau, n_steps=32, rng=RngStream(40, i))
-            diffs += np.array([r.V - r.V1 for r in records]) / paths
-        assert abs(diffs[0] - problem.delta0) <= 1e-12
-        assert np.max(np.abs(diffs - diffs[0])) <= 20 * tau
-
-
 class TestInvariantSuite:
     def test_default_run_passes_everything(self):
         results = invariant_suite()
@@ -429,15 +381,15 @@ class TestInvariantSuite:
         assert all(r.name.startswith("spectral") for r in results)
 
     def test_pencil_residual_sees_a_perturbed_eigenvalue(self, monkeypatch):
-        assemble = harness.fem_mod.assemble
+        assemble = checks.fem_mod.assemble
 
         def perturbed(elements):
             system = assemble(elements)
             return replace(system, mu=system.mu * (1.0 + 1e-5))
 
-        assert harness._check_fem_pencil(None, None).passed
-        monkeypatch.setattr(harness.fem_mod, "assemble", perturbed)
-        assert not harness._check_fem_pencil(None, None).passed
+        assert checks._check_fem_pencil(None, None).passed
+        monkeypatch.setattr(checks.fem_mod, "assemble", perturbed)
+        assert not checks._check_fem_pencil(None, None).passed
 
     def test_dropping_balancing_term_fails_energy_checks(self):
         results = invariant_suite(mutations={"unbalanced_table"})

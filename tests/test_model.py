@@ -151,18 +151,6 @@ class TestApplyG:
         )
         assert np.max(np.abs(out - oracle)) <= 1e-8
 
-    def test_gradient_dependent_diffusion_is_supported(self):
-        problem = make_problem(f="linear", g="sine", modes=16)
-        problem = type(problem)(**{**problem.__dict__, "g": lambda u, ux: ux, "uses_gradient": True})
-        ops = spectral_discretization(16)
-        dw = SpectralField.basis(1, 16).coeffs
-        out = apply_g_core(sine_initial(16), dw, problem, ops)
-        # u_x = pi cos(pi x); coefficients of pi cos(pi x) sqrt2 sin(pi x)
-        oracle = fine_sine_coefficients(
-            lambda x: np.pi * np.cos(np.pi * x) * np.sqrt(2.0) * np.sin(np.pi * x), 16
-        )
-        assert np.max(np.abs(out - oracle)) <= 1e-8
-
 
 class TestGradientConsistency:
     @pytest.mark.parametrize("name", ["linear", "sine", "cubic"])

@@ -15,7 +15,6 @@ from savwave.noise import (
     increments,
     power_covariance,
     sample_block,
-    sample_increment,
     trace,
     trace_operator,
 )
@@ -47,7 +46,7 @@ class TestCovariance:
 class TestSampling:
     def test_rejects_nonpositive_tau(self):
         with pytest.raises(ValueError):
-            sample_increment(power_covariance(4), 0.0, RngStream(1))
+            sample_block(power_covariance(4), 0.0, 3, RngStream(1))
 
     def test_replay_is_bit_identical(self):
         cov = power_covariance(16)
@@ -65,7 +64,7 @@ class TestSampling:
         cov = power_covariance(8)
         block = sample_block(cov, 0.25, 20, RngStream(5, 2))
         rng = RngStream(5, 2)
-        rows = np.stack([sample_increment(cov, 0.25, rng).coeffs for _ in range(20)])
+        rows = np.stack([np.sqrt(cov.q * 0.25) * rng.normals(8) for _ in range(20)])
         assert np.array_equal(block, rows)
         assert rng.counter == 20 * 8
 

@@ -21,12 +21,10 @@ from savwave.harness import (
     ConvergenceStudy,
     EnergyStudy,
     SpatialStudy,
-    WeakEnergyStudy,
     aux_gap_scaling,
     energy_evolution,
     spatial_refinement,
     strong_convergence,
-    weak_energy_error,
 )
 
 FIXTURE = Path(__file__).with_name("pinned_outputs.json")
@@ -72,14 +70,6 @@ def _spatial():
     return {"rms_error": res.rms_error}
 
 
-def _weak_energy():
-    res = weak_energy_error(WeakEnergyStudy(
-        f="sine", g="sine", elements=16, ref_modes=64, T=0.25, tau=2.0**-6, realizations=16,
-        seed=2024, chunk=8,
-    ))
-    return {"gap": res.gap}
-
-
 def _simulate():
     # The single path of the `simulate` command, records of every step.
     out = {}
@@ -94,7 +84,7 @@ def _simulate():
 
 
 STUDIES = {"converge": _converge, "energy": _energy, "aux_gap": _aux_gap, "spatial": _spatial,
-           "weak_energy": _weak_energy, "simulate": _simulate}
+           "simulate": _simulate}
 
 
 @pytest.mark.parametrize("name", sorted(STUDIES))

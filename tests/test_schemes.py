@@ -25,13 +25,12 @@ from savwave.schemes import (
     substitution_residual,
 )
 from savwave.spectral import (
-    PairState,
     SpectralField,
     cayley_group_table,
-    group_step,
     spectral_group_table,
     wave_group_table,
 )
+from test_spectral import PairState, group_step
 
 
 def initial_state(problem, ops):
@@ -296,6 +295,18 @@ class TestRunTrajectory:
         assert np.all(np.diff(times) > 0)
         for r in records:
             assert np.isfinite(r.V) and np.isfinite(r.V1) and np.isfinite(r.trace_term)
+
+    def test_matched_discretization_gap_is_initialization_only(self):
+        # V - V1 = q^2 - F(u) stays within O(tau) of its initial value delta0
+        problem = make_problem(f="sine", g="sine", modes=32)
+        tau = 2.0**-7
+        diffs = np.zeros(33)
+        paths = 4
+        for i in range(paths):
+            records = run_trajectory(problem, tau=tau, n_steps=32, rng=RngStream(40, i))
+            diffs += np.array([r.V - r.V1 for r in records]) / paths
+        assert abs(diffs[0] - problem.delta0) <= 1e-12
+        assert np.max(np.abs(diffs - diffs[0])) <= 20 * tau
 
     def test_unknown_scheme_rejected(self):
         problem = make_problem(modes=8)

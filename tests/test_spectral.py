@@ -1,21 +1,60 @@
+from dataclasses import dataclass, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from savwave.spectral import (
-    PairState,
     SpectralField,
     cayley_group_table,
     eigenvalue,
     eigenvalues,
-    group_step,
     sobolev_norm_sq,
     spectral_group_table,
     to_nodal,
     to_spectral,
     wave_group_table,
 )
+
+
+def _check_same_modes(a, b):
+    if a.modes != b.modes:
+        raise ValueError(f"mode counts differ: {a.modes} vs {b.modes}")
+
+
+@dataclass(frozen=True)
+class PairState:
+    """Displacement/velocity pair (u, v) sharing one truncation level.
+
+    With group_step, an independent oracle of the linear propagator that the
+    exponential stepper must reduce to when f = g = 0.
+    """
+
+    u: SpectralField
+    v: SpectralField
+
+    def __post_init__(self):
+        _check_same_modes(self.u, self.v)
+
+    @property
+    def modes(self):
+        return self.u.modes
+
+
+def group_step(x, table):
+    """Advance a pair state by one application of the wave group (oracle, see PairState).
+
+    Per mode: u' = cos*u + (sin/sqrt(lam))*v, v' = -sqrt(lam)*sin*u + cos*v;
+    preserves the energy 1/2|u|_{H1}^2 + 1/2|v|_{L2}^2 exactly.
+    """
+    if x.modes != table.modes:
+        raise ValueError(f"mode counts differ: state {x.modes} vs table {table.modes}")
+    u = x.u.coeffs
+    v = x.v.coeffs
+    u_new = table.cos * u + table.a2 * v
+    v_new = -table.sqrt_lam * table.sin * u + table.cos * v
+    return PairState(SpectralField(u_new), SpectralField(v_new))
 
 
 def smooth_field(seed, modes, decay=2.0):
@@ -216,3 +255,11 @@ class TestFieldValidation:
     def test_negative_tau_rejected(self):
         with pytest.raises(ValueError):
             wave_group_table(eigenvalues(4), -0.1)
+
+    @pytest.mark.parametrize("build", [wave_group_table, cayley_group_table])
+    def test_table_off_the_trig_identity_rejected(self, build):
+        # sin off by 1e-14 relative moves cos^2 + sin^2 by about 2e-14 sin^2,
+        # past the 8-eps guard on the modes where sin^2 is of order one
+        table = build(eigenvalues(8), 0.3)
+        with pytest.raises(ValueError, match="trigonometric identity"):
+            replace(table, sin=table.sin * (1.0 + 1e-14))

@@ -5,20 +5,28 @@ must not pull in scipy.special (the noise-tail footer of `simulate`), and
 the finite element backend, whose eigenpairs are in closed form, must not
 load scipy.linalg at all.  Checked in a fresh interpreter, since this test
 process has loaded both already.
+
+Every name a module lists in `__all__` must resolve, and the package
+re-exports only such names, so deleting a function leaves no stale export.
 """
 
+import ast
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import savwave
 
 PROBE = """
 import json, sys
 import numpy as np
-import savwave, savwave.cli, savwave.harness
+import savwave, savwave.checks, savwave.cli, savwave.harness
 from savwave import fem, noise
 from savwave.model import make_problem
 
@@ -26,7 +34,7 @@ system = fem.assemble(8)
 fem.l2_project(system, np.cos)
 fem.ritz_project(system, lambda x: x * (1.0 - x))
 fem.initial_coefficients(system, make_problem(modes=8))
-pencil = savwave.harness._check_fem_pencil(None, None).value
+pencil = savwave.checks._check_fem_pencil(None, None).value
 loaded = sorted(m for m in sys.modules if m.startswith(("scipy.linalg", "scipy.special")))
 tail = noise.covariance_tail(noise.power_covariance(8))
 print(json.dumps({"loaded": loaded, "pencil": pencil, "tail": tail}))
@@ -47,3 +55,23 @@ def test_import_loads_no_scipy_linalg_or_special_and_deferred_imports_work():
     assert probe["loaded"] == []
     assert probe["pencil"] <= 1e-13
     assert probe["tail"] is not None and 0.0 < probe["tail"] < float("inf")
+
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(savwave.__path__) if m.name != "__main__")
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_name_in_all_resolves(name):
+    module = importlib.import_module(f"savwave.{name}")
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def test_package_reexports_only_module_exports():
+    tree = ast.parse(Path(savwave.__file__).read_text())
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(f"savwave.{node.module}")
+        for alias in node.names:
+            assert alias.name in module.__all__, f"{node.module}.{alias.name}"
+            assert getattr(savwave, alias.name) is getattr(module, alias.name)

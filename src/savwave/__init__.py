@@ -1,6 +1,6 @@
 """Auxiliary-variable integrators for the 1-d stochastic wave equation."""
 
-from .fem import FemSystem, assemble, initial_coefficients, l2_project, ritz_project
+from .fem import assemble, initial_coefficients, l2_project, ritz_project
 from .model import (
     Discretization,
     ModelViolationError,

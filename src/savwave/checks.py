@@ -255,11 +255,7 @@ def _pathwise_energy_worst(mutations, seed, fem=False):
     batch = 4
     steps = 60
     tau = 2.0**-7
-    if fem:
-        system = fem_mod.assemble(32)
-        ops = system.discretization
-    else:
-        ops = spectral_discretization(32)
+    ops = fem_mod.assemble(32) if fem else spectral_discretization(32)
     configs = [(s, p, f, g)
                for s in SCHEMES
                for p in ("identity", "extrapolation")
@@ -269,8 +265,8 @@ def _pathwise_energy_worst(mutations, seed, fem=False):
         problem = make_problem(f=fname, g=gname, modes=32 if not fem else 31)
         initial, cmap = None, None
         if fem:
-            initial = fem_mod.initial_coefficients(system, problem)
-            cmap = fem_mod.noise_projection_matrix(system, problem.noise.modes)
+            initial = fem_mod.initial_coefficients(ops, problem)
+            cmap = fem_mod.noise_projection_matrix(ops, problem.noise.modes)
         integ = Integrator(scheme, tau, problem, ops,
                            _batched_initial(problem, ops, batch, initial), predictor)
         if "unbalanced_table" in mutations:
@@ -321,9 +317,8 @@ def _substitution_worst(seed, fem=False):
     tau = 2.0**-6
     worst = 0.0
     if fem:
-        system = fem_mod.assemble(24)
-        ops = system.discretization
-        modes = system.dim
+        ops = fem_mod.assemble(24)
+        modes = ops.modes
     else:
         modes = 48
         ops = spectral_discretization(modes)
@@ -404,38 +399,53 @@ def _check_schemes_moments(_, seed):
                    "mean V^2 vs initial, both standard drifts on [0, 1]")
 
 
+def _fem_stencil(elements):
+    """Dense interior (stiffness, mass) of the P1 element stencils (2, -1)/h and (4, 1)h/6.
+
+    An oracle built from the element integrals alone, independent of the
+    closed-form basis that fem.assemble writes.
+    """
+    h = 1.0 / elements
+    eye = np.eye(elements - 1)
+    off = np.eye(elements - 1, k=1) + np.eye(elements - 1, k=-1)
+    return (2.0 * eye - off) / h, (4.0 * eye + off) * h / 6.0
+
+
 def _check_fem_pencil(_, __):
-    system = fem_mod.assemble(64)
-    resid = system.stiffness @ system.phi - (system.mass @ system.phi) * system.mu
-    worst = float(np.max(np.max(np.abs(resid), axis=0) / system.mu))
+    ops = fem_mod.assemble(64)
+    stiffness, mass = _fem_stencil(64)
+    phi = ops.synth[1:-1]
+    resid = stiffness @ phi - (mass @ phi) * ops.lam
+    worst = float(np.max(np.max(np.abs(resid), axis=0) / ops.lam))
     return _result("fem.pencil_residual", worst, 1e-13, "max_k |K phi_k - mu_k M phi_k|_inf / mu_k")
 
 
 def _check_fem_orthonormal(_, __):
-    system = fem_mod.assemble(48)
-    gram = system.phi.T @ system.mass @ system.phi
-    worst = float(np.max(np.abs(gram - np.eye(system.dim))))
+    ops = fem_mod.assemble(48)
+    _, mass = _fem_stencil(48)
+    phi = ops.synth[1:-1]
+    worst = float(np.max(np.abs(phi.T @ mass @ phi - np.eye(ops.modes))))
     return _result("fem.mass_orthonormal", worst, 1e-12)
 
 
 def _check_fem_trig(rng, _):
     from .spectral import wave_group_table
 
-    system = fem_mod.assemble(48)
+    ops = fem_mod.assemble(48)
     worst = 0.0
     for tau in (0.02, 0.4):
-        table = wave_group_table(system.mu, tau)
-        x = rng.standard_normal(system.dim)
+        table = wave_group_table(ops.lam, tau)
+        x = rng.standard_normal(ops.modes)
         lhs = np.sum((table.sin * x) ** 2) + np.sum((table.cos * x) ** 2)
         worst = max(worst, abs(lhs - np.sum(x**2)) / np.sum(x**2))
     return _result("fem.trig_identity", worst, 1e-11)
 
 
 def _check_fem_conservation(rng, _):
-    system = fem_mod.assemble(32)
-    u = rng.standard_normal(system.dim) / np.arange(1, system.dim + 1)
-    v = rng.standard_normal(system.dim)
-    drift = _wave_energy_drift(2.0**-6, system.discretization, u, v, system.mu)
+    ops = fem_mod.assemble(32)
+    u = rng.standard_normal(ops.modes) / np.arange(1, ops.modes + 1)
+    v = rng.standard_normal(ops.modes)
+    drift = _wave_energy_drift(2.0**-6, ops, u, v, ops.lam)
     return _result("fem.energy_conservation", drift, 1e-10, "10^4 steps")
 
 
@@ -451,22 +461,22 @@ def _check_fem_substitution(_, seed):
 def _check_fem_ritz(_, __):
     from .spectral import SpectralField
 
-    system = fem_mod.assemble(8)
+    ops = fem_mod.assemble(8)
     c = np.zeros(8)
     c[0] = 1.0 / np.sqrt(2.0)
-    r = fem_mod.ritz_project(system, SpectralField(c))
-    worst = float(np.max(np.abs(r - np.sin(np.pi * system.x[1:-1]))))
+    r = fem_mod.ritz_project(ops, SpectralField(c))
+    worst = float(np.max(np.abs(r - np.sin(np.pi * ops.x[1:-1]))))
     return _result("fem.ritz_is_interpolation", worst, 1e-12)
 
 
 def _check_fem_consistency(_, __):
     # mu_k/(k*pi)^2 - 1 ~ (k*pi*h)^2/12, so the 2% band holds up to
     # k ~ d/8 (theta = pi/8) at every mesh width; d/4 would sit near 5%.
-    system = fem_mod.assemble(32)
-    count = system.dim // 8
+    ops = fem_mod.assemble(32)
+    count = ops.modes // 8
     k = np.arange(1, count + 1)
     exact = (k * np.pi) ** 2
-    worst = float(np.max(np.abs(system.mu[:count] - exact) / exact))
+    worst = float(np.max(np.abs(ops.lam[:count] - exact) / exact))
     return _result("fem.spectral_consistency", worst, 0.02, "first d/8 eigenvalues")
 
 

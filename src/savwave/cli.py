@@ -94,6 +94,15 @@ class RunConfig:
             raise ConfigError(f"invalid value for problem.f: {self.f}")
         if self.g not in DIFFUSIONS:
             raise ConfigError(f"invalid value for problem.g: {self.g}")
+        if not self.delta0 > 0:
+            raise ConfigError(f"invalid value for problem.delta0: {self.delta0}")
+        if not self.tau > 0:
+            raise ConfigError(f"invalid value for time.tau: {self.tau}")
+        if self.noise_modes < 0:
+            raise ConfigError(f"invalid value for noise.modes: {self.noise_modes}")
+        if any(e > self.ref_exp for e in self.tau_exps):
+            raise ConfigError(f"invalid value for converge.tau_exps: {self.tau_exps} "
+                              f"(no step may be finer than converge.ref_exp = {self.ref_exp})")
         if self.modes < 1:
             raise ConfigError(f"invalid value for space.modes: {self.modes}")
         if self.elements < 2:
@@ -276,11 +285,10 @@ def _trajectory(config):
                n_steps=config.steps(), rng=RngStream(config.seed, 0))
     if not fem:
         return problem, run_trajectory(problem, **run)
-    system = fem_mod.assemble(config.elements)
+    ops = fem_mod.assemble(config.elements)
     return problem, run_trajectory(
-        problem, ops=system.discretization,
-        initial=fem_mod.initial_coefficients(system, problem),
-        noise_map=fem_mod.noise_projection_matrix(system, noise_modes), **run,
+        problem, ops=ops, initial=fem_mod.initial_coefficients(ops, problem),
+        noise_map=fem_mod.noise_projection_matrix(ops, noise_modes), **run,
     )
 
 

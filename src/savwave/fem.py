@@ -1,30 +1,24 @@
 """Linear finite elements on a uniform mesh of (0,1) with Dirichlet ends.
 
-The generalized eigendecomposition of the stiffness/mass pair gives a
-mass-orthonormal basis in which the discrete Laplacian is diagonal, so the
-finite element space plugs into the same coefficient-space machinery as the
-sine basis: trig-operator tables act mode by mode on the discrete
-eigenvalues, and nonlinearities are evaluated at the mesh nodes.
-`schemes.Integrator` steps on `FemSystem.discretization` with either
-scheme's propagator table of `system.mu` (`schemes.SCHEMES`).
-
-On a uniform mesh both matrices are tridiagonal Toeplitz, so the discrete
-sine vectors sin(j*k*pi*h) diagonalize both (Strang & Fix, 1973): every
-eigenpair is exact in closed form, with no eigensolver and no dense solve.
+On a uniform mesh the P1 mass and stiffness matrices are tridiagonal
+Toeplitz, so the discrete sine vectors diagonalize both (Strang & Fix,
+1973): the mass-orthonormal eigenvectors are phi_jk = c_k sin(j*theta_k),
+theta_k = k*pi*h, c_k = sqrt(6/(2 + cos theta_k)), with eigenvalues
+`eigenvalue_closed_form`.  `assemble` writes the element space as a
+`model.Discretization` in that basis directly: the sine basis on the mesh,
+rescaled mode by mode, with no eigensolver and no linear solve.  The time
+steppers then run on it exactly as on the sine spectral space.
+`l2_project` and `ritz_project` keep the defining solves as oracles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-
 import numpy as np
 
 from .model import Discretization, uniform_grid
-from .spectral import SpectralField
+from .spectral import SpectralField, _synthesis_matrix
 
 __all__ = [
-    "FemSystem",
     "assemble",
     "eigenvalue_closed_form",
     "l2_project",
@@ -38,40 +32,6 @@ _GAUSS_T = 0.5 * (1.0 + np.array([-np.sqrt(0.6), 0.0, np.sqrt(0.6)]))
 _GAUSS_W = np.array([5.0, 8.0, 5.0]) / 18.0
 
 
-@dataclass(frozen=True)
-class FemSystem:
-    """Assembled matrices and eigenpairs for one uniform mesh.
-
-    mu/phi solve stiffness @ phi = mu * mass @ phi with phi mass-orthonormal
-    columns; everything is immutable and shared read-only across threads.
-    """
-
-    elements: int
-    h: float
-    x: np.ndarray
-    mass: np.ndarray
-    stiffness: np.ndarray
-    mu: np.ndarray
-    phi: np.ndarray
-
-    @property
-    def dim(self):
-        return self.elements - 1
-
-    @cached_property
-    def discretization(self):
-        """Coefficient-space view: eigen-coefficients vs mesh nodal values."""
-        d = self.dim
-        n = self.elements + 1
-        synth = np.zeros((n, d))
-        synth[1:-1, :] = self.phi
-        analysis = np.zeros((d, n))
-        analysis[:, 1:-1] = self.phi.T @ self.mass
-        gram = np.zeros((n, n))
-        gram[1:-1, 1:-1] = self.mass
-        return Discretization(self.mu, uniform_grid(self.elements), synth, analysis, gram)
-
-
 def eigenvalue_closed_form(elements):
     """mu_k = (6/h^2)(1 - cos theta_k)/(2 + cos theta_k), theta_k = k*pi*h, in half-angle form."""
     h = 1.0 / elements
@@ -80,33 +40,28 @@ def eigenvalue_closed_form(elements):
 
 
 def assemble(elements):
-    """Mass/stiffness assembly plus the closed-form generalized eigenpairs.
+    """The element space of a uniform mesh as a Discretization, in closed form.
 
-    phi[j-1, k-1] = sqrt(6/(2 + cos theta_k)) sin(j*theta_k), mass-orthonormal with a positive
-    first row; j*k is taken mod 2*elements so the sine's argument stays below 2*pi.
+    synth[j, k-1] = c_k sin(j*theta_k) with zero Dirichlet rows; the sines
+    are read from one table of sin(pi*m/elements), m = j*k mod 2*elements.
+    By discrete sine orthogonality phi.T @ mass = (2/(elements*c_k))
+    sin(j*theta_k), which is `analysis`.  `l2_gram` is the nodal mass
+    matrix, (4h/6, h/6) stencil.
     """
     if elements < 2:
         raise ValueError(f"need at least 2 elements, got {elements}")
-    d = elements - 1
     h = 1.0 / elements
-    x = np.linspace(0.0, 1.0, elements + 1)
-    mass = np.zeros((d, d))
-    stiffness = np.zeros((d, d))
-    idx = np.arange(d)
-    mass[idx, idx] = 4.0 * h / 6.0
-    stiffness[idx, idx] = 2.0 / h
-    off = np.arange(d - 1)
-    mass[off, off + 1] = mass[off + 1, off] = h / 6.0
-    stiffness[off, off + 1] = stiffness[off + 1, off] = -1.0 / h
     k = np.arange(1, elements)
     norm = np.sqrt(6.0 / (2.0 + np.cos(k * np.pi * h)))
-    phi = norm * np.sin(np.pi * (np.outer(k, k) % (2 * elements)) / elements)
-    return FemSystem(elements, h, x, mass, stiffness, eigenvalue_closed_form(elements), phi)
-
-
-def _gauss_points(system):
-    starts = system.x[:-1]
-    return (starts[:, None] + system.h * _GAUSS_T[None, :]).ravel()
+    sines = np.sin(np.pi * np.arange(2 * elements) / elements)[
+        np.outer(np.arange(elements + 1), k) % (2 * elements)]
+    sines[[0, -1]] = 0.0
+    gram = np.zeros((elements + 1, elements + 1))
+    inner = np.arange(1, elements)
+    gram[inner, inner] = 4.0 * h / 6.0
+    gram[inner[:-1], inner[1:]] = gram[inner[1:], inner[:-1]] = h / 6.0
+    return Discretization(eigenvalue_closed_form(elements), uniform_grid(elements),
+                          norm * sines, (2.0 / (elements * norm))[:, None] * sines.T, gram)
 
 
 def _evaluate(source, points):
@@ -116,7 +71,21 @@ def _evaluate(source, points):
     return np.asarray(source(points), dtype=np.float64)
 
 
-def l2_project(system, source):
+def _load(ops, source):
+    """Loads of `source` against the interior hat functions, 3-point Gauss per element."""
+    h = 1.0 / (ops.modes + 1)
+    points = (ops.x[:-1, None] + h * _GAUSS_T[None, :]).ravel()
+    scaled = _evaluate(source, points).reshape(-1, 3) * (h * _GAUSS_W)
+    return (scaled @ _GAUSS_T)[:-1] + (scaled @ (1.0 - _GAUSS_T))[1:]
+
+
+def _interior(ops, values):
+    if values.shape != (ops.modes,):
+        raise ValueError(f"expected {ops.modes} interior values")
+    return values.copy()
+
+
+def l2_project(ops, source):
     """L2 projection onto the element space: solve mass @ x = load.
 
     Loads are integrated by 3-point Gauss quadrature per element; an interior
@@ -124,18 +93,12 @@ def l2_project(system, source):
     phi @ (phi.T @ load), as phi.T @ mass @ phi = I.
     """
     if isinstance(source, np.ndarray):
-        if source.shape != (system.dim,):
-            raise ValueError(f"expected {system.dim} interior values")
-        return source.copy()
-    vals = _evaluate(source, _gauss_points(system)).reshape(system.elements, 3)
-    scaled = vals * (system.h * _GAUSS_W)
-    to_right = scaled @ _GAUSS_T
-    to_left = scaled @ (1.0 - _GAUSS_T)
-    load = to_right[:-1] + to_left[1:]
-    return system.phi @ (system.phi.T @ load)
+        return _interior(ops, source)
+    phi = ops.synth[1:-1]
+    return phi @ (phi.T @ _load(ops, source))
 
 
-def ritz_project(system, source):
+def ritz_project(ops, source):
     """Energy projection: solve stiffness @ x = gradient load.
 
     The gradient load against a hat function telescopes to nodal values,
@@ -143,35 +106,32 @@ def ritz_project(system, source):
     nodal interpolation.  The solve is phi @ ((phi.T @ load) / mu).
     """
     if isinstance(source, np.ndarray):
-        if source.shape != (system.dim,):
-            raise ValueError(f"expected {system.dim} interior values")
-        return source.copy()
-    vals = _evaluate(source, system.x)
-    load = (2.0 * vals[1:-1] - vals[:-2] - vals[2:]) / system.h
-    return system.phi @ ((system.phi.T @ load) / system.mu)
+        return _interior(ops, source)
+    h = 1.0 / (ops.modes + 1)
+    vals = _evaluate(source, ops.x)
+    load = (2.0 * vals[1:-1] - vals[:-2] - vals[2:]) / h
+    phi = ops.synth[1:-1]
+    return phi @ ((phi.T @ load) / ops.lam)
 
 
-def initial_coefficients(system, problem):
+def initial_coefficients(ops, problem):
     """Eigen-coefficients (u0, v0) of the fully discrete initial state.
 
-    u0 is the Ritz projection of the problem's initial displacement, v0 the
-    L2 projection of its initial velocity.
+    u0 is the Ritz projection of the problem's initial displacement, which on
+    this mesh is its nodal interpolant; v0 the L2 projection of its initial
+    velocity, whose coefficients are phi.T @ load.
     """
-    to_coeffs = system.discretization.analysis[:, 1:-1]
-    return (to_coeffs @ ritz_project(system, problem.u0),
-            to_coeffs @ l2_project(system, problem.v0))
+    return ops.project(_evaluate(problem.u0, ops.x)), ops.synth[1:-1].T @ _load(ops, problem.v0)
 
 
-def noise_projection_matrix(system, noise_modes):
+def noise_projection_matrix(ops, noise_modes):
     """(dim, noise_modes) map from sine noise coefficients to eigen-coefficients.
 
     Realizes: evaluate the increment at the mesh nodes, read the resulting
     interior nodal vector as an element-space function, express it in the
     mass-orthonormal eigenbasis.
     """
-    k = np.arange(1, noise_modes + 1)
-    nodal = np.sqrt(2.0) * np.sin(np.pi * np.outer(system.x[1:-1], k))
-    return (system.phi.T @ system.mass) @ nodal
+    return ops.analysis @ _synthesis_matrix(noise_modes, ops.modes + 1)
 
 
 def linear_interp_matrix(x_nodes, x_eval):

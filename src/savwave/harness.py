@@ -450,14 +450,14 @@ def _spatial_chunk(study, first, stop=None):
         _batched_initial(problem, ops_ref, batch),
     )
 
-    systems = [fem_mod.assemble(2**e) for e in study.h_exps]
+    meshes = [fem_mod.assemble(2**e) for e in study.h_exps]
     fem_runs = [
-        Integrator(study.scheme, study.tau, problem, system.discretization,
-                   _batched_initial(problem, system.discretization, batch,
-                                    fem_mod.initial_coefficients(system, problem)))
-        for system in systems
+        Integrator(study.scheme, study.tau, problem, ops,
+                   _batched_initial(problem, ops, batch,
+                                    fem_mod.initial_coefficients(ops, problem)))
+        for ops in meshes
     ]
-    noise_maps = [fem_mod.noise_projection_matrix(system, kref) for system in systems]
+    noise_maps = [fem_mod.noise_projection_matrix(ops, kref) for ops in meshes]
 
     n_steps = round(study.T / study.tau)
     for dw in increments(problem.noise, study.tau, n_steps, streams):
@@ -469,10 +469,10 @@ def _spatial_chunk(study, first, stop=None):
     k = np.arange(1, kref + 1)
     synth_fine = np.sqrt(2.0) * np.sin(np.pi * np.outer(fine.x, k))
     ref_vals = ref.state.u @ synth_fine.T
-    sq_errors = np.empty((len(systems), batch))
-    for i, (system, run) in enumerate(zip(systems, fem_runs)):
-        interp = fem_mod.linear_interp_matrix(system.x, fine.x)
-        vals = run.state.u @ system.discretization.synth.T @ interp.T
+    sq_errors = np.empty((len(meshes), batch))
+    for i, (ops, run) in enumerate(zip(meshes, fem_runs)):
+        interp = fem_mod.linear_interp_matrix(ops.x, fine.x)
+        vals = run.state.u @ ops.synth.T @ interp.T
         sq_errors[i] = np.einsum("bm,m->b", (ref_vals - vals) ** 2, fine.weights)
     return [sq_errors[:, s] for s in spans]
 

@@ -406,8 +406,9 @@ def run_trajectory(
 
     Spectral by default: sine `ops` of u0's modes, initial coefficients
     (u0, v0), sine noise zero-padded to the spatial modes.  A finite element
-    run passes its `ops`, `initial` = fem.initial_coefficients and
-    `noise_map` = fem.noise_projection_matrix (sine increments to
+    run passes `ops` = fem.assemble(elements), `initial` =
+    fem.initial_coefficients(ops, problem) and `noise_map` =
+    fem.noise_projection_matrix(ops, noise modes) (sine increments to
     eigen-coefficients).  q_0 = sqrt(F(u_0)+delta0) exactly (zero initial
     gap); the run aborts with BlowUpError once V exceeds `guard`.  The
     increments are `noise.increments` of the one stream `rng`, so step n

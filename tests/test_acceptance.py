@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 
+from savwave.checks import _fem_stencil
 from savwave.cli import main
 from savwave.fem import assemble, eigenvalue_closed_form, initial_coefficients, noise_projection_matrix
 from savwave.harness import (
@@ -194,18 +195,19 @@ def test_criterion_06_solvability_and_substitution():
 
 def test_criterion_07_fem_structure():
     start = time.perf_counter()
-    system = assemble(32)  # h = 2^-5
+    ops = assemble(32)  # h = 2^-5
     exact = eigenvalue_closed_form(32)
-    mu_err = float(np.max(np.abs(system.mu - exact) / exact))
+    mu_err = float(np.max(np.abs(ops.lam - exact) / exact))
     assert mu_err <= 1e-10
-    resid = system.stiffness @ system.phi - (system.mass @ system.phi) * system.mu
-    pencil = float(np.max(np.max(np.abs(resid), axis=0) / system.mu))
+    stiffness, mass = _fem_stencil(32)
+    phi = ops.synth[1:-1]
+    resid = stiffness @ phi - (mass @ phi) * ops.lam
+    pencil = float(np.max(np.max(np.abs(resid), axis=0) / ops.lam))
     assert pencil <= 1e-13
-    ops = system.discretization
-    problem = make_problem(f="sine", g="sine", modes=system.dim)
-    u0, v0 = initial_coefficients(system, problem)
+    problem = make_problem(f="sine", g="sine", modes=ops.modes)
+    u0, v0 = initial_coefficients(ops, problem)
     state = initial_state(np.tile(u0, (4, 1)), np.tile(v0, (4, 1)), problem, ops)
-    cmap = noise_projection_matrix(system, system.dim)
+    cmap = noise_projection_matrix(ops, ops.modes)
     rng = RngStream(707, 0)
     worst = 0.0
     for variant in ("exponential", "midpoint"):

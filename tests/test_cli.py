@@ -74,6 +74,10 @@ class TestConfig:
         ("converge.schemes", "exponential verlet", "spectral"),
         ("converge.norm", "h1", "spectral"),
         ("converge.reference", "rk4", "spectral"),
+        ("problem.delta0", "0", "spectral"),
+        ("noise.modes", "-3", "fem"),
+        ("time.tau", "0", "spectral"),
+        ("converge.tau_exps", "8 14", "spectral"),
     ])
     def test_unknown_scheme_names_are_config_errors(self, tmp_path, capsys, key, value, backend):
         path = write(tmp_path / "c.txt", f"space.backend = {backend}\n{key} = {value}\n"

@@ -39,11 +39,10 @@ def setup(backend, f="sine", g="sine"):
         ops = spectral_discretization(24)
         problem = make_problem(f=f, g=g, modes=24)
         return problem, ops, _batched_initial(problem, ops, BATCH), None
-    system = fem.assemble(16)
-    ops = system.discretization
-    problem = make_problem(f=f, g=g, modes=system.dim)
-    state = _batched_initial(problem, ops, BATCH, fem.initial_coefficients(system, problem))
-    return problem, ops, state, fem.noise_projection_matrix(system, system.dim)
+    ops = fem.assemble(16)
+    problem = make_problem(f=f, g=g, modes=ops.modes)
+    state = _batched_initial(problem, ops, BATCH, fem.initial_coefficients(ops, problem))
+    return problem, ops, state, fem.noise_projection_matrix(ops, ops.modes)
 
 
 def increments(problem, cmap, steps, seed=4):
@@ -232,9 +231,8 @@ def test_fem_simulate_step_zero_trace_term_is_finite():
     config = cli.RunConfig(backend="fem", elements=16, T=2.0**-5, tau=2.0**-7)
     _, records = cli._trajectory(config)
     assert np.isfinite(records[0].trace_term) and records[0].trace_term > 0.0
-    system = fem.assemble(16)
-    ops = system.discretization
+    ops = fem.assemble(16)
     problem = make_problem(modes=16)
-    u0c, _ = fem.initial_coefficients(system, problem)
+    u0c, _ = fem.initial_coefficients(ops, problem)
     expect = trace_operator(problem.noise, ops)(problem.g(ops.nodal(u0c)))
     assert records[0].trace_term == pytest.approx(float(expect), rel=1e-14)

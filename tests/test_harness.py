@@ -212,13 +212,12 @@ from savwave.schemes import Integrator, initial_state
 
 
 def fem_task():
-    system = fem.assemble(16)
-    ops = system.discretization
-    problem = make_problem(f="sine", g="sine", modes=system.dim)
-    u0, v0 = fem.initial_coefficients(system, problem)
+    ops = fem.assemble(16)
+    problem = make_problem(f="sine", g="sine", modes=ops.modes)
+    u0, v0 = fem.initial_coefficients(ops, problem)
     integ = Integrator("exponential", 2.0**-6, problem, ops,
                        initial_state(u0[None], v0[None], problem, ops))
-    integ.step(np.zeros((1, system.dim)))
+    integ.step(np.zeros((1, ops.modes)))
     return _openblas_threads()
 
 
@@ -384,8 +383,8 @@ class TestInvariantSuite:
         assemble = checks.fem_mod.assemble
 
         def perturbed(elements):
-            system = assemble(elements)
-            return replace(system, mu=system.mu * (1.0 + 1e-5))
+            ops = assemble(elements)
+            return replace(ops, lam=ops.lam * (1.0 + 1e-5))
 
         assert checks._check_fem_pencil(None, None).passed
         monkeypatch.setattr(checks.fem_mod, "assemble", perturbed)

@@ -339,11 +339,10 @@ class TestRunTrajectory:
     def test_fem_backend_steps_the_mapped_noise(self, scheme):
         # noise with more sine modes than the mesh has eigenmodes is mapped,
         # not padded; each record is the Integrator's step on that increment
-        system = fem.assemble(16)
-        ops = system.discretization
+        ops = fem.assemble(16)
         problem = make_problem(f="sine", g="sine", modes=16)
-        cmap = fem.noise_projection_matrix(system, 16)
-        initial = fem.initial_coefficients(system, problem)
+        cmap = fem.noise_projection_matrix(ops, 16)
+        initial = fem.initial_coefficients(ops, problem)
         tau = 2.0**-6
         records = run_trajectory(problem, scheme=scheme, predictor="extrapolation", tau=tau,
                                  n_steps=8, rng=RngStream(5, 0), ops=ops, initial=initial,

@@ -30,10 +30,10 @@ import savwave, savwave.checks, savwave.cli, savwave.harness
 from savwave import fem, noise
 from savwave.model import make_problem
 
-system = fem.assemble(8)
-fem.l2_project(system, np.cos)
-fem.ritz_project(system, lambda x: x * (1.0 - x))
-fem.initial_coefficients(system, make_problem(modes=8))
+ops = fem.assemble(8)
+fem.l2_project(ops, np.cos)
+fem.ritz_project(ops, lambda x: x * (1.0 - x))
+fem.initial_coefficients(ops, make_problem(modes=8))
 pencil = savwave.checks._check_fem_pencil(None, None).value
 loaded = sorted(m for m in sys.modules if m.startswith(("scipy.linalg", "scipy.special")))
 tail = noise.covariance_tail(noise.power_covariance(8))

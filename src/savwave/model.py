@@ -129,11 +129,30 @@ def _identity(u):
     return u
 
 
-# Built-in drift pairs (f, Ftilde) with Ftilde' = f and Ftilde(0) = 0.
+def _versine(u):
+    return 1.0 - np.cos(u)
+
+
+def _sine_pair(u):
+    """(sin u, 1 - cos u) in place from one tan t = tan(u/2): 2t/(1 + t^2) and t sin u."""
+    t = np.multiply(u, 0.5)
+    np.tan(t, out=t)
+    s = np.multiply(t, t)
+    s += 1.0
+    np.divide(t, s, out=s)
+    s *= 2.0
+    np.multiply(t, s, out=t)
+    return s, t
+
+
+# Built-in drift pairs (f, Ftilde) with Ftilde' = f and Ftilde(0) = 0.  Steppers
+# evaluate them jointly (Problem.drift_values: the sine pair from one tan); f and
+# Ftilde stay the oracles of drift_core, nodal_radicand, sav_radicand and
+# schemes.substitution_residual.
 DRIFTS = {
     "zero": (_zero, _zero),
     "linear": (_identity, lambda u: 0.5 * u**2),
-    "sine": (np.sin, lambda u: 1.0 - np.cos(u)),
+    "sine": (np.sin, _versine),
     "cubic": (lambda u: u**3 + u, lambda u: 0.25 * u**4 + 0.5 * u**2),
 }
 
@@ -169,6 +188,12 @@ class Problem:
     def g_is_f(self):
         """True when g is f itself, so one evaluation serves both."""
         return self.g is self.f
+
+    def drift_values(self, u):
+        """(f(u), Ftilde(u)): the registry's sine pair from one tan, any other pair as given."""
+        if self.f is DRIFTS["sine"][0] and self.Ftilde is _versine:
+            return _sine_pair(u)
+        return self.f(u), self.Ftilde(u)
 
 
 def default_initial_displacement(modes):
@@ -224,14 +249,19 @@ def potential(coeffs, problem, ops):
     return ops.quad(problem.Ftilde(ops.nodal(coeffs)))
 
 
-def nodal_radicand(vals, problem, ops):
-    """F(u) + delta0 from the nodal values of u; aborts below RADICAND_FLOOR."""
-    rad = ops.quad(problem.Ftilde(vals)) + problem.delta0
+def radicand(F_vals, problem, ops):
+    """F(u) + delta0 from the nodal values of Ftilde(u); aborts below RADICAND_FLOOR."""
+    rad = ops.quad(F_vals) + problem.delta0
     if np.any(rad < RADICAND_FLOOR):
         raise ModelViolationError(
             f"F(u) + delta0 fell below {RADICAND_FLOOR}: min {np.min(rad)}"
         )
     return rad
+
+
+def nodal_radicand(vals, problem, ops):
+    """F(u) + delta0 from the nodal values of u."""
+    return radicand(problem.Ftilde(vals), problem, ops)
 
 
 def sav_radicand(coeffs, problem, ops):

@@ -33,7 +33,7 @@ from .model import (
     apply_g_core,
     diffusion_values,
     drift_core,
-    nodal_radicand,
+    radicand,
     spectral_discretization,
 )
 from .noise import increments, trace_operator
@@ -76,10 +76,10 @@ class BlowUpError(RuntimeError):
 class SavState:
     """Displacement/velocity coefficients plus the scalar auxiliary variable.
 
-    `vals` (nodal values of u) and `rad` (F(u) + delta0) are a cache that a
-    stepper with diagnostics on, or an initializer, hands to the next step so
-    it need not recompute them.  They must describe `u` exactly; code that
-    builds a state from modified arrays leaves them None.
+    `vals` (nodal values of u), `rad` (F(u) + delta0) and `fvals` (nodal
+    f(u)) are a cache that a stepper with diagnostics on, or an initializer,
+    hands to the next step so it need not recompute them.  They must describe
+    `u` exactly; code that builds a state from modified arrays leaves them None.
     """
 
     u: np.ndarray
@@ -88,6 +88,7 @@ class SavState:
     n: int = 0
     vals: np.ndarray | None = field(default=None, repr=False, compare=False)
     rad: np.ndarray | None = field(default=None, repr=False, compare=False)
+    fvals: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=np.float64)
@@ -164,8 +165,9 @@ def pathwise_energy_residual(state_n, state_next, g_increment, lam):
 def initial_state(u, v, problem, ops):
     """State at (u, v) with q = sqrt(F(u) + delta0), i.e. zero aux gap, and its cache seeded."""
     vals = ops.nodal(u)
-    rad = nodal_radicand(vals, problem, ops)
-    return SavState(u, v, np.sqrt(rad), vals=vals, rad=rad)
+    fvals, F_vals = problem.drift_values(vals)
+    rad = radicand(F_vals, problem, ops)
+    return SavState(u, v, np.sqrt(rad), vals=vals, rad=rad, fvals=fvals)
 
 
 def _check_finite(u, v, q, n):
@@ -177,23 +179,25 @@ def _step_inputs(state, dw, problem, ops, u_hat):
     """Drift direction b, noise increment G = P_K g(u)*dW and nodal g(u) of one step.
 
     u is synthesized once (or taken from the state's cache) and serves both
-    g(u) and, when u_hat is u, the drift f(u_hat) and F(u_hat); a diffusion
-    that is the drift (Problem.g_is_f, e.g. f = g = sine) is evaluated once.
-    Both analyses share one `project` call on [f; g*dW], written into one buffer.
+    g(u) and, when u_hat is u, the joint drift values f(u_hat), F(u_hat)
+    (Problem.drift_values); a diffusion that is the drift (Problem.g_is_f,
+    e.g. f = g = sine) takes f's values of u.  Both analyses share one
+    `project` call on [f; g*dW], written into one buffer.
     """
     u = state.u
     vals = ops.nodal(u) if state.vals is None else state.vals
+    f_u, rad = state.fvals, state.rad
     if u_hat is None or u_hat is u:
-        u_vals, rad = vals, state.rad
+        if f_u is None or rad is None:
+            f_u, F_u = problem.drift_values(vals)
+            rad = radicand(F_u, problem, ops)
+        f_vals = f_u
     else:
-        u_vals, rad = ops.nodal(u_hat), None
-    if rad is None:
-        rad = nodal_radicand(u_vals, problem, ops)
-    f_vals = problem.f(u_vals)
-    if u_vals is vals and problem.g_is_f:
-        g_vals = f_vals
-    else:
-        g_vals = problem.g(vals)
+        f_vals, F_hat = problem.drift_values(ops.nodal(u_hat))
+        rad = radicand(F_hat, problem, ops)
+        if problem.g_is_f and f_u is None:
+            f_u = problem.drift_values(vals)[0]
+    g_vals = f_u if problem.g_is_f else problem.g(vals)
     dw_vals = ops.nodal(dw)
     shape = np.broadcast_shapes(f_vals.shape, g_vals.shape, dw_vals.shape)
     stacked = np.empty((2,) + shape)
@@ -205,13 +209,14 @@ def _step_inputs(state, dw, problem, ops, u_hat):
 
 
 def _diagnostics(problem, ops, state, new_u, new_v, new_q, g_inc, denom, trace_fn, g_vals):
-    """(new state carrying nodal u_{n+1} and F(u_{n+1}) + delta0, StepDiagnostics)."""
+    """(new state carrying nodal u_{n+1}, F(u_{n+1}) + delta0 and f(u_{n+1}), StepDiagnostics)."""
     lam = ops.lam
     v_old = modified_energy(state.u, state.v, state.q, lam)
     v_new = modified_energy(new_u, new_v, new_q, lam)
     residual = v_new - v_old - _dot(state.v, g_inc) - 0.5 * _dot(g_inc, g_inc)
     vals_new = ops.nodal(new_u)
-    rad_new = nodal_radicand(vals_new, problem, ops)
+    f_vals_new, F_new = problem.drift_values(vals_new)
+    rad_new = radicand(F_new, problem, ops)
     f_new = rad_new - problem.delta0
     aux_gap = np.abs(np.sqrt(rad_new) - new_q)
     v1 = 0.5 * _dot(lam * new_u, new_u) + 0.5 * _dot(new_v, new_v) + f_new
@@ -219,7 +224,7 @@ def _diagnostics(problem, ops, state, new_u, new_v, new_q, g_inc, denom, trace_f
         trace = np.full(np.shape(new_q), np.nan)
     else:
         trace = trace_fn(g_vals)
-    new_state = SavState(new_u, new_v, new_q, state.n + 1, vals=vals_new, rad=rad_new)
+    new_state = SavState(new_u, new_v, new_q, state.n + 1, vals_new, rad_new, f_vals_new)
     return new_state, StepDiagnostics(
         V=v_new,
         V1=v1,
@@ -244,10 +249,13 @@ def step_exponential_sav(
 
     Cost per step: two syntheses (dW, and u or, with `diagnostics`,
     u_{n+1}; an extrapolated u_hat adds a third), one stacked analysis of
-    [f(u_hat); g(u) dW], and one evaluation of a pointwise map that f and g
-    share.  With `diagnostics`, the nodal values of u_{n+1} and
-    F(u_{n+1}) + delta0 that they compute ride on the returned state, so
-    the next step reuses them.
+    [f(u_hat); g(u) dW], and one joint evaluation of the drift f and its
+    antiderivative (Problem.drift_values: one tan and no sin or cos for the
+    sine pair), at u or, with `diagnostics`, at u_{n+1}; an extrapolated
+    u_hat adds one at u_hat.  When g is f, g takes f's values of u.  With
+    `diagnostics`, the nodal values of u_{n+1}, f(u_{n+1}) and
+    F(u_{n+1}) + delta0 ride on the returned state, so the next step reuses
+    them.
     """
     u, v, q = state.u, state.v, state.q
     b, g_inc, g_vals = _step_inputs(state, dw, problem, ops, u_hat)

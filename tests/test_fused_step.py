@@ -1,10 +1,12 @@
 """The fused SAV step: shared synthesis, one stacked analysis, carried cache.
 
-A step synthesizes u once, evaluates a pointwise map shared by f and g once,
-analyses [f(u); g(u)*dW] in one `project` call, and hands nodal u_{n+1} and
+A step synthesizes u once, evaluates the drift pair (f, Ftilde) jointly once
+(Problem.drift_values; g takes f's values when g is f), analyses
+[f(u); g(u)*dW] in one `project` call, and hands nodal u_{n+1}, f(u_{n+1}) and
 F(u_{n+1}) + delta0 from its diagnostics to the next step.  These tests pin
 that the cache changes no bit of any result, that code building states
-outside a stepper drops it, and how many transforms a step costs.
+outside a stepper drops it, and how many transforms and pointwise maps a step
+costs.
 """
 
 from dataclasses import replace
@@ -12,22 +14,26 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from savwave import cli, fem
+from savwave import cli, fem, model
 from savwave.harness import _batched_initial
 from savwave.model import (
     Discretization,
+    ModelViolationError,
+    Problem,
     make_problem,
     spectral_discretization,
 )
 from savwave.noise import RngStream, trace_operator
 from savwave.schemes import (
+    PREDICTORS,
     Integrator,
     SavState,
+    initial_state,
     step_exponential_sav,
     step_midpoint_sav,
     substitution_residual,
 )
-from savwave.spectral import wave_group_table
+from savwave.spectral import SpectralField, wave_group_table
 
 TAU = 2.0**-7
 BATCH = 5
@@ -70,7 +76,7 @@ def uncached(state):
 
 def assert_same_step(a, b):
     (sa, da), (sb, db) = a, b
-    for name in ("u", "v", "q", "vals", "rad"):
+    for name in ("u", "v", "q", "vals", "rad", "fvals"):
         assert np.array_equal(getattr(sa, name), getattr(sb, name)), name
     for name in ("V", "V1", "aux_gap", "energy_residual", "trace_term", "denominator"):
         assert np.array_equal(getattr(da, name), getattr(db, name)), name
@@ -87,7 +93,7 @@ def test_carried_cache_is_bit_exact(scheme, backend):
     dws = increments(problem, cmap, 3)
     state, _ = step(scheme, state, dws[0], problem, ops)
     state, _ = step(scheme, state, dws[1], problem, ops)
-    assert state.vals is not None and state.rad is not None
+    assert state.vals is not None and state.rad is not None and state.fvals is not None
     carried = step(scheme, state, dws[2], problem, ops, u_hat=state.u)
     fresh_state = uncached(state)
     fresh = step(scheme, fresh_state, dws[2], problem, ops, u_hat=fresh_state.u)
@@ -100,7 +106,7 @@ def test_step_without_diagnostics_carries_nothing(scheme, backend):
     problem, ops, state, cmap = setup(backend)
     new, diag = step(scheme, state, increments(problem, cmap, 1)[0], problem, ops,
                      diagnostics=False)
-    assert diag is None and new.vals is None and new.rad is None
+    assert diag is None and new.vals is None and new.rad is None and new.fvals is None
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -112,11 +118,11 @@ def test_sanitize_drops_the_cache_of_a_parked_path(scheme):
     s = integ.state
     v = s.v.copy()
     v[1] = 1e7  # energy far above the guard; u, hence the cache, unchanged
-    integ.state = SavState(s.u, v, s.q, s.n, vals=s.vals, rad=s.rad)
+    integ.state = SavState(s.u, v, s.q, s.n, vals=s.vals, rad=s.rad, fvals=s.fvals)
     excluded = integ.sanitize(np.zeros(BATCH, dtype=bool))
     assert excluded.tolist() == [False, True, False, False, False]
     parked = integ.state
-    assert parked.vals is None and parked.rad is None
+    assert parked.vals is None and parked.rad is None and parked.fvals is None
     assert np.all(parked.u[1] == 0.0)
     integ.step(dws[1], diagnostics=True)
     fresh = SavState(parked.u.copy(), parked.v.copy(), parked.q.copy(), parked.n)
@@ -202,8 +208,22 @@ def counting(fn, calls):
     return wrapped
 
 
+def count_drift_pairs(monkeypatch):
+    """Calls of Problem.drift_values, the joint (f, Ftilde) map, from here on."""
+    calls = []
+    original = Problem.drift_values
+
+    def counted(self, u):
+        calls.append(1)
+        return original(self, u)
+
+    monkeypatch.setattr(Problem, "drift_values", counted)
+    return calls
+
+
+@pytest.mark.parametrize("diagnostics", [True, False])
 @pytest.mark.parametrize("shared", [True, False])
-def test_pointwise_map_shared_by_f_and_g_is_evaluated_once(shared):
+def test_drift_pair_is_evaluated_once_per_step_and_serves_g(monkeypatch, shared, diagnostics):
     base = make_problem(f="sine", g="sine", modes=24)
     assert base.g_is_f
     f_calls, g_calls, F_calls = [], [], []
@@ -211,12 +231,124 @@ def test_pointwise_map_shared_by_f_and_g_is_evaluated_once(shared):
     g = f if shared else counting(np.sin, g_calls)
     problem = replace(base, f=f, g=g, Ftilde=counting(base.Ftilde, F_calls))
     assert problem.g_is_f is shared
+    pairs = count_drift_pairs(monkeypatch)
     ops = spectral_discretization(24)
     integ = Integrator("exponential", TAU, problem, ops, _batched_initial(problem, ops, BATCH))
+    assert len(pairs) == 1  # q_0 and the seeded cache
     for dw in increments(problem, None, 3):
+        integ.step(dw, diagnostics=diagnostics)
+    # One pair per step: at u_{n+1} in the diagnostics, else at u (the first
+    # step then reads the pair initial_state cached).  f runs only inside the
+    # pair, so a diffusion that is f is never evaluated on its own.
+    assert len(pairs) == len(f_calls) == len(F_calls) == (1 + 3 if diagnostics else 3)
+    assert len(g_calls) == (0 if shared else 3)
+
+
+def test_extrapolated_step_adds_one_pair_at_u_hat(monkeypatch):
+    problem, ops, state, cmap = setup("spectral")
+    integ = Integrator("exponential", TAU, problem, ops, state, "extrapolation")
+    pairs = count_drift_pairs(monkeypatch)
+    for dw in increments(problem, cmap, 3):
         integ.step(dw, diagnostics=True)
-    assert len(f_calls) == 3 and len(g_calls) == (0 if shared else 3)
-    assert len(F_calls) == 1 + 3  # q_0, then the diagnostics of each step
+    assert len(pairs) == 2 * 3
+
+
+def counting_ufunc(ufunc, calls, name):
+    def wrapped(*args, **kwargs):
+        calls[name] += 1
+        return ufunc(*args, **kwargs)
+
+    return wrapped
+
+
+@pytest.mark.parametrize("replaced", [False, True])
+def test_sine_pair_is_one_tan_unless_a_map_was_replaced(monkeypatch, replaced):
+    problem, ops, _, cmap = setup("spectral")
+    f_calls = []
+    if replaced:
+        problem = replace(problem, f=counting(np.sin, f_calls))
+    dws = increments(problem, cmap, 3)
+    state = _batched_initial(problem, ops, BATCH)
+    integ = Integrator("exponential", TAU, problem, ops, state)  # its table uses sin and cos
+    f_calls.clear()
+    calls = {"tan": 0, "sin": 0, "cos": 0}
+    for name in calls:
+        monkeypatch.setattr(np, name, counting_ufunc(getattr(np, name), calls, name))
+    integ.state = _batched_initial(problem, ops, BATCH)
+    for dw in dws:
+        integ.step(dw, diagnostics=True)
+    if replaced:
+        # the generic pair: the replaced f, and Ftilde = 1 - cos as written
+        assert calls == {"tan": 0, "sin": 0, "cos": 1 + 3} and len(f_calls) == 1 + 3
+    else:
+        assert calls == {"tan": 1 + 3, "sin": 0, "cos": 0}
+
+
+@pytest.mark.parametrize("diagnostics", [True, False])
+def test_radicand_floor_raises_from_the_step_at_zero(diagnostics):
+    problem = make_problem(f="sine", g="sine", modes=8, delta0=1e-9)
+    ops = spectral_discretization(8)
+    zeros = np.zeros((BATCH, 8))
+    with pytest.raises(ModelViolationError):
+        initial_state(zeros, zeros, problem, ops)
+    state = SavState(zeros, zeros, np.full(BATCH, np.sqrt(1e-9)))
+    integ = Integrator("exponential", TAU, problem, ops, state)
+    with pytest.raises(ModelViolationError):
+        integ.step(increments(problem, None, 1)[0], diagnostics=diagnostics)
+
+
+@pytest.mark.parametrize("diagnostics", [True, False])
+def test_radicand_floor_raises_where_a_step_lands_near_zero(diagnostics):
+    # g = 0 and v_0 chosen so that the wave group of tau = 1/4 takes u_0 to 0:
+    # F(u_0) + delta0 is about 5e-7, F(u_1) + delta0 about 1.1e-9 (the drift
+    # leaves |u_1| about 1.5e-5), below the floor.
+    tau = 0.25
+    problem = make_problem(f="sine", g="zero", modes=8, delta0=1e-9)
+    ops = spectral_discretization(8)
+    u, v = np.zeros(8), np.zeros(8)
+    w = np.sqrt(ops.lam[0])
+    u[0] = 1e-3
+    v[0] = -u[0] * w * np.cos(w * tau) / np.sin(w * tau)
+    state = initial_state(u, v, problem, ops)
+    assert state.rad > 1e-7
+    integ = Integrator("exponential", tau, problem, ops, state)
+    dw = np.zeros(8)
+    if diagnostics:
+        # the diagnostics evaluate F(u_1) + delta0 and raise at once
+        with pytest.raises(ModelViolationError):
+            integ.step(dw, diagnostics=True)
+    else:
+        # no diagnostics: the next step meets u_1 and raises
+        integ.step(dw, diagnostics=False)
+        with pytest.raises(ModelViolationError):
+            integ.step(dw, diagnostics=False)
+
+
+def test_simulate_exits_3_on_a_sine_run_starting_at_zero(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(model, "default_initial_displacement", SpectralField.zeros)
+    config = tmp_path / "c.txt"
+    config.write_text("problem.f = sine\nproblem.g = sine\nproblem.delta0 = 1e-9\n"
+                      "time.T = 0.125\ntime.tau = 2^-5\nspace.modes = 8\n"
+                      f"output.dir = {tmp_path / 'out'}\n")
+    assert cli.main(["simulate", "--config", str(config)]) == 3
+    assert "numerical abort" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("predictor", PREDICTORS)
+def test_held_state_and_diagnostics_keep_their_bytes(predictor):
+    problem, ops, state, cmap = setup("spectral")
+    dws = increments(problem, cmap, 3)
+    integ = Integrator("exponential", TAU, problem, ops, state, predictor,
+                       trace_fn=trace_operator(problem.noise, ops))
+    diag = integ.step(dws[0], diagnostics=True)
+    held = integ.state
+    names = ("u", "v", "q", "vals", "rad", "fvals")
+    before = [getattr(held, n).tobytes() for n in names]
+    before_diag = [np.asarray(getattr(diag, n)).tobytes() for n in vars(diag)]
+    integ.step(dws[1], diagnostics=True)
+    integ.step(dws[2], diagnostics=False)
+    assert [getattr(held, n).tobytes() for n in names] == before
+    assert [np.asarray(getattr(diag, n)).tobytes() for n in vars(diag)] == before_diag
 
 
 def test_registry_pairs_share_only_identical_maps():

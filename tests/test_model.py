@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.special import j0
@@ -182,6 +184,56 @@ class TestDealiasing:
         b1, _ = drift_core(u, problem, coarse)
         b2, _ = drift_core(u, problem, finer)
         assert np.max(np.abs(b1 - b2)) <= 1e-10
+
+
+def ulps(approx, exact):
+    """|approx - exact| in units of the float64 spacing at exact (long double)."""
+    spacing = np.spacing(np.abs(exact.astype(np.float64))).astype(np.longdouble)
+    return np.abs(approx.astype(np.longdouble) - exact) / spacing
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                    reason="needs a long double wider than float64 as the oracle")
+class TestSinePair:
+    """The sine pair (sin u, 1 - cos u) as the steppers evaluate it: one tan."""
+
+    @staticmethod
+    def pair(u):
+        return make_problem(f="sine", g="sine", modes=8).drift_values(u)
+
+    def test_within_4_and_6_ulp_of_long_double(self):
+        rng = np.random.default_rng(11)
+        sweep = np.geomspace(1e-300, 1e-3, 20_000)
+        near_pi = np.pi + rng.uniform(-0.1, 0.1, 10_000)
+        pi_neighbours = np.nextafter(np.pi, [0.0, np.inf])
+        u = np.concatenate([rng.uniform(-4.0, 4.0, 10**6), sweep, -sweep, near_pi, -near_pi,
+                            [np.pi, -np.pi], pi_neighbours, -pi_neighbours])
+        s, c = self.pair(u)
+        exact = u.astype(np.longdouble)
+        assert float(np.max(ulps(s, np.sin(exact)))) <= 4.0
+        assert float(np.max(ulps(c, 2.0 * np.sin(exact / 2) ** 2))) <= 6.0
+        # the libm form it replaces cancels near u = 0
+        sweep_exact = 2.0 * np.sin(sweep.astype(np.longdouble) / 2) ** 2
+        assert float(np.max(ulps(1.0 - np.cos(sweep), sweep_exact))) > 1e6
+
+    def test_exact_points(self):
+        with np.errstate(invalid="ignore"):
+            s, c = self.pair(np.array([np.pi, -np.pi, 0.0, np.inf, -np.inf, np.nan]))
+        assert s[0] == pytest.approx(1.2246468e-16, rel=1e-7) and s[1] == -s[0]
+        assert c[0] == c[1] == 2.0
+        assert s[2] == 0.0 and c[2] == 0.0
+        assert np.all(np.isnan(s[3:])) and np.all(np.isnan(c[3:]))
+
+    def test_other_pairs_are_evaluated_as_written(self):
+        u = np.linspace(-4.0, 4.0, 101)
+        for name in ("zero", "linear", "cubic"):
+            problem = make_problem(f=name, g="zero", modes=8)
+            f_vals, F_vals = problem.drift_values(u)
+            assert np.array_equal(f_vals, problem.f(u)) and np.array_equal(F_vals, problem.Ftilde(u))
+        sine = make_problem(f="sine", g="zero", modes=8)
+        assert sine.f is np.sin and np.array_equal(sine.Ftilde(u), 1.0 - np.cos(u))
+        swapped = replace(sine, Ftilde=lambda v: 1.0 - np.cos(v))
+        assert np.array_equal(swapped.drift_values(u)[1], 1.0 - np.cos(u))
 
 
 class TestProblemConstruction:

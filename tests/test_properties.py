@@ -5,17 +5,28 @@ scheme, a predictor, a drift f, a diffusion g, a step tau, a batch and a
 state.  The production `Integrator` steps it on that backend's own noise
 path, and every step must keep the structure of the scheme: the pathwise
 energy identity, rank-one denominators >= 1, and exact conservation of the
-modified energy when g = 0.
+modified energy when g = 0.  Every accepted step must also solve the
+un-eliminated step equations as `substitution_residual` rebuilds them from
+the libm forms of f and Ftilde, while production evaluates the sine pair
+from one tan.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from savwave import fem
+from savwave import fem, model
 from savwave.model import DIFFUSIONS, DRIFTS, make_problem, spectral_discretization
 from savwave.noise import RngStream, power_covariance
-from savwave.schemes import PREDICTORS, SCHEMES, Integrator, initial_state
+from savwave.schemes import (
+    PREDICTORS,
+    SCHEMES,
+    Integrator,
+    initial_state,
+    state_norm,
+    substitution_residual,
+)
 
 STEPS = 8
 
@@ -66,3 +77,61 @@ def test_step_structure_on_both_backends(backend, size, scheme, predictor, f, g,
         assert np.all(diag.denominator >= 1.0)
         if g == "zero":
             assert np.all(np.abs(diag.V - energy0) <= 1e-12 * energy0)
+
+
+def _residuals(scheme, predictor, tau, problem, ops, state, cmap, seed, steps):
+    """Substitution residual / (1 + state norm) of each production step."""
+    integ = Integrator(scheme, tau, problem, ops, state, predictor)
+    stream = RngStream(seed, 0)
+    scale = np.sqrt(problem.noise.q * tau)
+    out = []
+    for _ in range(steps):
+        dw = stream.normals((state.u.shape[0], problem.noise.modes)) * scale
+        if cmap is not None:
+            dw = dw @ cmap.T
+        before = integ.state
+        u_hat = before.u if predictor == "identity" else 0.5 * (3.0 * before.u - integ.u_prev)
+        integ.step(dw, diagnostics=True)
+        res = substitution_residual(scheme, before, integ.state, dw, problem, ops,
+                                    table=integ.table, tau=tau, u_hat=u_hat)
+        out.append(np.max(res / (1.0 + state_norm(integ.state, ops.lam))))
+    return max(out)
+
+
+@given(backend=st.sampled_from(["spectral", "fem"]),
+       size=st.sampled_from([4, 8, 16]),
+       scheme=st.sampled_from(sorted(SCHEMES)),
+       predictor=st.sampled_from(PREDICTORS),
+       f=st.sampled_from(sorted(DRIFTS)),
+       g=st.sampled_from(sorted(DIFFUSIONS)),
+       tau_exp=st.integers(3, 10),
+       batch=st.integers(1, 4),
+       amplitude=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**31 - 1))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_production_step_solves_the_libm_step_equations(backend, size, scheme, predictor, f, g,
+                                                        tau_exp, batch, amplitude, seed):
+    problem, ops, (u0, v0), cmap = _case(backend, size, f, g, 1)
+    rng = np.random.default_rng(seed)
+    k = np.arange(1, ops.modes + 1)
+    u = u0 + amplitude * rng.standard_normal((batch, ops.modes)) / k
+    v = v0 + amplitude * rng.standard_normal((batch, ops.modes))
+    state = initial_state(u, v, problem, ops)
+    assert _residuals(scheme, predictor, 2.0**-tau_exp, problem, ops, state, cmap, seed, 4) <= 1e-10
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+def test_substitution_residual_catches_a_wrong_sine_pair(monkeypatch, scheme):
+    problem, ops, (u0, v0), _ = _case("spectral", 16, "sine", "sine", 1)
+    u = np.tile(u0, (2, 1))
+    v = np.tile(v0, (2, 1))
+
+    sine_pair = model._sine_pair
+
+    def wrong_pair(x):
+        return sine_pair(x)[0], np.tan(0.5 * x) ** 2  # t^2 where t sin u belongs
+
+    args = (scheme, "identity", 2.0**-6, problem, ops)
+    assert _residuals(*args, initial_state(u, v, problem, ops), None, 5, 4) <= 1e-10
+    monkeypatch.setattr(model, "_sine_pair", wrong_pair)
+    assert _residuals(*args, initial_state(u, v, problem, ops), None, 5, 4) > 1e-6

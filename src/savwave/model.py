@@ -133,11 +133,14 @@ def _versine(u):
     return 1.0 - np.cos(u)
 
 
-def _sine_pair(u):
-    """(sin u, 1 - cos u) in place from one tan t = tan(u/2): 2t/(1 + t^2) and t sin u."""
-    t = np.multiply(u, 0.5)
-    np.tan(t, out=t)
-    s = np.multiply(t, t)
+def _sine_pair(u, out=None):
+    """(sin u, 1 - cos u) in place from one tan t = tan(u/2): 2t/(1 + t^2) and t sin u.
+
+    sin u lands in `out` when given; u broadcasts against it.
+    """
+    s = np.multiply(u, 0.5, out=out)
+    t = np.tan(s)
+    np.multiply(t, t, out=s)
     s += 1.0
     np.divide(t, s, out=s)
     s *= 2.0
@@ -189,11 +192,17 @@ class Problem:
         """True when g is f itself, so one evaluation serves both."""
         return self.g is self.f
 
-    def drift_values(self, u):
-        """(f(u), Ftilde(u)): the registry's sine pair from one tan, any other pair as given."""
+    def drift_values(self, u, out=None):
+        """(f(u), Ftilde(u)): the registry's sine pair from one tan, any other pair as given.
+
+        f(u) lands in `out` when given; u broadcasts against it.
+        """
         if self.f is DRIFTS["sine"][0] and self.Ftilde is _versine:
-            return _sine_pair(u)
-        return self.f(u), self.Ftilde(u)
+            return _sine_pair(u, out)
+        if out is None:
+            return self.f(u), self.Ftilde(u)
+        np.copyto(out, self.f(u))
+        return out, self.Ftilde(u)
 
 
 def default_initial_displacement(modes):
@@ -252,7 +261,7 @@ def potential(coeffs, problem, ops):
 def radicand(F_vals, problem, ops):
     """F(u) + delta0 from the nodal values of Ftilde(u); aborts below RADICAND_FLOOR."""
     rad = ops.quad(F_vals) + problem.delta0
-    if np.any(rad < RADICAND_FLOOR):
+    if (rad < RADICAND_FLOOR).any():
         raise ModelViolationError(
             f"F(u) + delta0 fell below {RADICAND_FLOOR}: min {np.min(rad)}"
         )

@@ -109,16 +109,23 @@ def test_step_without_diagnostics_carries_nothing(scheme, backend):
     assert diag is None and new.vals is None and new.rad is None and new.fvals is None
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_sanitize_drops_the_cache_of_a_parked_path(scheme):
+# A path's v set to 1e7 puts V far above the guard; 1e200 makes V = inf from
+# a finite state.  Either way u, hence the cache, is unchanged.
+@pytest.mark.parametrize("scheme, speed", [
+    *(pytest.param(scheme, 1e7, id=scheme) for scheme in SCHEMES),
+    *(pytest.param(scheme, 1e200, id=f"{scheme}-inf") for scheme in SCHEMES),
+])
+def test_sanitize_drops_the_cache_of_a_parked_path(scheme, speed):
     problem, ops, state, cmap = setup("spectral")
     dws = increments(problem, cmap, 2)
     integ = Integrator(scheme, TAU, problem, ops, state)
     integ.step(dws[0], diagnostics=True)
     s = integ.state
     v = s.v.copy()
-    v[1] = 1e7  # energy far above the guard; u, hence the cache, unchanged
+    v[1] = speed
     integ.state = SavState(s.u, v, s.q, s.n, vals=s.vals, rad=s.rad, fvals=s.fvals)
+    assert np.isfinite(integ.state.v).all()
+    assert (integ.energy()[1] == np.inf) == (speed == 1e200)
     excluded = integ.sanitize(np.zeros(BATCH, dtype=bool))
     assert excluded.tolist() == [False, True, False, False, False]
     parked = integ.state
@@ -213,9 +220,9 @@ def count_drift_pairs(monkeypatch):
     calls = []
     original = Problem.drift_values
 
-    def counted(self, u):
+    def counted(self, u, out=None):
         calls.append(1)
-        return original(self, u)
+        return original(self, u, out)
 
     monkeypatch.setattr(Problem, "drift_values", counted)
     return calls

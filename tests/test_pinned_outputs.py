@@ -21,11 +21,15 @@ from savwave.harness import (
     ConvergenceStudy,
     EnergyStudy,
     SpatialStudy,
+    _batched_initial,
+    _problem,
     aux_gap_scaling,
     energy_evolution,
     spatial_refinement,
     strong_convergence,
 )
+from savwave.model import spectral_discretization
+from savwave.schemes import Integrator
 
 FIXTURE = Path(__file__).with_name("pinned_outputs.json")
 RTOL = 1e-12
@@ -94,6 +98,27 @@ def test_outputs_match_pinned_fixture(name):
     assert sorted(got) == sorted(pinned)
     for key, values in got.items():
         np.testing.assert_allclose(values, pinned[key], rtol=RTOL, atol=0, err_msg=key)
+
+
+def test_energy_study_initial_state_keeps_its_bits():
+    # The initial state of `savwave energy` at K = 256, f = g = sine, delta0 = 1
+    # (one group of 125 identical rows).  Every row has the same V_0, so the
+    # step-0 standard error of that study is the round-off of a zero variance
+    # and moves with any bit of V_0 or of the initial radicand: both must stay
+    # exactly these values.  So must the potential F(u_0) they are built from:
+    # a quadrature that sums in another order moves it by 2 ulp, which the
+    # + delta0 happens to round away here but not at every delta0.
+    study = EnergyStudy(f="sine", g="sine", modes=256, T=1.0, tau=2.0**-8, realizations=250,
+                        chunk=125)
+    problem = _problem(study, study.modes)
+    ops = spectral_discretization(study.modes)
+    integ = Integrator(study.scheme, study.tau, problem, ops,
+                       _batched_initial(problem, ops, study.chunk))
+    state = integ.state
+    potential = ops.quad(problem.drift_values(state.vals)[1])
+    assert {float.hex(float(x)) for x in integ.energy()} == {"0x1.d9e1cd2c857a2p+1"}
+    assert {float.hex(float(x)) for x in state.rad} == {"0x1.3c1c012142388p+0"}
+    assert {float.hex(float(x)) for x in potential} == {"0x1.e0e0090a11c44p-3"}
 
 
 if __name__ == "__main__":

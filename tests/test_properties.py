@@ -8,7 +8,7 @@ energy identity, rank-one denominators >= 1, and exact conservation of the
 modified energy when g = 0.  Every accepted step must also solve the
 un-eliminated step equations as `substitution_residual` rebuilds them from
 the libm forms of f and Ftilde, while production evaluates the sine pair
-from one tan.
+from one tan.  And a row stepped alone must match its row of the batch.
 """
 
 import numpy as np
@@ -120,6 +120,65 @@ def test_production_step_solves_the_libm_step_equations(backend, size, scheme, p
     assert _residuals(scheme, predictor, 2.0**-tau_exp, problem, ops, state, cmap, seed, 4) <= 1e-10
 
 
+# A row stepped alone against the same row of a batch.  Rows share no
+# arithmetic, but OpenBLAS's small GEMM rounds the last bit differently by
+# shape, so the rows match within a bound, not bytewise.
+ROW_TOL = 1e-13
+
+
+def _row_alone_gap(backend, size, scheme, predictor, f, g, tau, batch, amplitude, seed,
+                   diagnostics):
+    """Max over 8 steps and rows of |row alone - row of the batch| / (1 + state norm)."""
+    problem, ops, (u0, v0), cmap = _case(backend, size, f, g, 1)
+    rng = np.random.default_rng(seed)
+    k = np.arange(1, ops.modes + 1)
+    u = u0 + amplitude * rng.standard_normal((batch, ops.modes)) / k
+    v = v0 + amplitude * rng.standard_normal((batch, ops.modes))
+
+    def integrator(rows):
+        state = initial_state(u[rows], v[rows], problem, ops)
+        return Integrator(scheme, tau, problem, ops, state, predictor)
+
+    whole = integrator(slice(None))
+    alone = [integrator(slice(r, r + 1)) for r in range(batch)]
+    stream = RngStream(seed, 0)
+    scale = np.sqrt(problem.noise.q * tau)
+    gap = 0.0
+    for _ in range(STEPS):
+        dw = stream.normals((batch, problem.noise.modes)) * scale
+        if cmap is not None:
+            dw = dw @ cmap.T
+        whole.step(dw, diagnostics=diagnostics)
+        norm = 1.0 + state_norm(whole.state, ops.lam)
+        for r, integ in enumerate(alone):
+            integ.step(dw[r:r + 1], diagnostics=diagnostics)
+            diff = max(np.max(np.abs(integ.state.u[0] - whole.state.u[r])),
+                       np.max(np.abs(integ.state.v[0] - whole.state.v[r])),
+                       abs(integ.state.q[0] - whole.state.q[r]))
+            gap = max(gap, diff / norm[r])
+    return gap
+
+
+@given(backend=st.sampled_from(["spectral", "fem"]),
+       size=st.sampled_from([4, 8, 16]),
+       scheme=st.sampled_from(sorted(SCHEMES)),
+       predictor=st.sampled_from(PREDICTORS),
+       f=st.sampled_from(sorted(DRIFTS)),
+       g=st.sampled_from(sorted(DIFFUSIONS)),
+       tau_exp=st.integers(3, 10),
+       batch=st.integers(2, 5),
+       amplitude=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**31 - 1),
+       diagnostics=st.booleans())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_a_row_stepped_alone_matches_its_row_in_the_batch(backend, size, scheme, predictor, f, g,
+                                                          tau_exp, batch, amplitude, seed,
+                                                          diagnostics):
+    gap = _row_alone_gap(backend, size, scheme, predictor, f, g, 2.0**-tau_exp, batch,
+                         amplitude, seed, diagnostics)
+    assert gap <= ROW_TOL
+
+
 @pytest.mark.parametrize("scheme", sorted(SCHEMES))
 def test_substitution_residual_catches_a_wrong_sine_pair(monkeypatch, scheme):
     problem, ops, (u0, v0), _ = _case("spectral", 16, "sine", "sine", 1)
@@ -128,8 +187,8 @@ def test_substitution_residual_catches_a_wrong_sine_pair(monkeypatch, scheme):
 
     sine_pair = model._sine_pair
 
-    def wrong_pair(x):
-        return sine_pair(x)[0], np.tan(0.5 * x) ** 2  # t^2 where t sin u belongs
+    def wrong_pair(x, out=None):
+        return sine_pair(x, out)[0], np.tan(0.5 * x) ** 2  # t^2 where t sin u belongs
 
     args = (scheme, "identity", 2.0**-6, problem, ops)
     assert _residuals(*args, initial_state(u, v, problem, ops), None, 5, 4) <= 1e-10

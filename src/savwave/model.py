@@ -13,6 +13,7 @@ branch on the backend.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -98,8 +99,18 @@ class Discretization:
     def weights(self):
         return self.grid.weights
 
+    @cached_property
+    def synth_t(self):
+        """C-ordered copy of synth.T, derived from this instance's synth."""
+        return np.ascontiguousarray(self.synth.T)
+
     def nodal(self, coeffs):
-        return coeffs @ self.synth.T
+        # A batch multiplies the C-ordered transpose, which OpenBLAS's small
+        # GEMM runs faster than the transposed view; one vector keeps the GEMV
+        # synth @ c, whose bits `c @ synth_t` does not reproduce.
+        if coeffs.ndim == 1:
+            return self.synth @ coeffs
+        return coeffs @ self.synth_t
 
     def project(self, values):
         return values @ self.analysis.T
@@ -116,7 +127,7 @@ def spectral_discretization(modes, grid_factor=2, grid_points=None):
     if m < modes + 1:
         raise ValueError(f"grid with {m} intervals cannot resolve {modes} modes")
     grid = uniform_grid(m)
-    synth = np.array(_synthesis_matrix(modes, m))
+    synth = _synthesis_matrix(modes, m)  # shared and read-only
     analysis = (synth * grid.weights[:, None]).T
     return Discretization(eigenvalues(modes), grid, synth, analysis)
 

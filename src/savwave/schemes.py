@@ -66,6 +66,9 @@ SCHEMES = {"exponential": wave_group_table, "midpoint": cayley_group_table}
 # aborts, Monte Carlo studies park the path.  The value itself is arbitrary
 # plumbing.
 ENERGY_GUARD = 1e12
+# A batch whose summed modified energy is at most this is healthy (see
+# SavState.energy_sum).
+_HEALTHY_SUM = 0.5 * ENERGY_GUARD
 
 
 class BlowUpError(RuntimeError):
@@ -76,10 +79,15 @@ class BlowUpError(RuntimeError):
 class SavState:
     """Displacement/velocity coefficients plus the scalar auxiliary variable.
 
-    `vals` (nodal values of u), `rad` (F(u) + delta0) and `fvals` (nodal
-    f(u)) are a cache that a stepper with diagnostics on, or an initializer,
-    hands to the next step so it need not recompute them.  They must describe
-    `u` exactly; code that builds a state from modified arrays leaves them None.
+    The other fields are a cache handed on so that nobody recomputes it; it
+    must describe the state exactly, and code that builds a state from
+    modified arrays leaves it None.  `vals` (nodal u), `rad` (F(u) + delta0),
+    `fvals` (nodal f(u)) and `V` (modified energy per path) come from a step
+    with diagnostics, or from initial_state (all but `V`).  Every step sets
+    `energy_sum` = 1/2 (|sqrt(lam) u|^2 + |v|^2) + |q|^2 over the batch, the
+    summed V up to round-off: as V >= 0 path by path, `energy_sum` <=
+    ENERGY_GUARD/2 proves every entry finite and every path's V below the
+    guard, with a margin far above round-off.
     """
 
     u: np.ndarray
@@ -89,6 +97,8 @@ class SavState:
     vals: np.ndarray | None = field(default=None, repr=False, compare=False)
     rad: np.ndarray | None = field(default=None, repr=False, compare=False)
     fvals: np.ndarray | None = field(default=None, repr=False, compare=False)
+    V: np.ndarray | None = field(default=None, repr=False, compare=False)
+    energy_sum: float | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=np.float64)
@@ -213,23 +223,30 @@ def _step_inputs(state, dw, problem, ops, u_hat):
     return drift, g_inc, g_vals
 
 
-def _diagnostics(problem, ops, state, new_u, new_v, new_q, g_inc, denom, trace_fn, g_vals):
-    """(new state carrying nodal u_{n+1}, F(u_{n+1}) + delta0 and f(u_{n+1}), StepDiagnostics)."""
+def _diagnostics(problem, ops, state, new_u, new_v, new_q, g_inc, denom, trace_fn, g_vals,
+                 energy_sum):
+    """(new state carrying nodal u_{n+1}, F(u_{n+1}) + delta0, f(u_{n+1}) and V, StepDiagnostics).
+
+    V_n is read from the state's cache when a previous step left it there.
+    """
     lam = ops.lam
-    v_old = modified_energy(state.u, state.v, state.q, lam)
-    v_new = modified_energy(new_u, new_v, new_q, lam)
+    v_old = state.V if state.V is not None else modified_energy(state.u, state.v, state.q, lam)
+    # modified_energy's sum order: V = h + q^2 and V1 = h + F share h.
+    h = 0.5 * _dot(lam * new_u, new_u) + 0.5 * _dot(new_v, new_v)
+    v_new = h + new_q**2
     residual = v_new - v_old - _dot(state.v, g_inc) - 0.5 * _dot(g_inc, g_inc)
     vals_new = ops.nodal(new_u)
     f_vals_new, F_new = problem.drift_values(vals_new)
     rad_new = radicand(F_new, problem, ops)
     f_new = rad_new - problem.delta0
     aux_gap = np.abs(np.sqrt(rad_new) - new_q)
-    v1 = 0.5 * _dot(lam * new_u, new_u) + 0.5 * _dot(new_v, new_v) + f_new
+    v1 = h + f_new
     if trace_fn is None:
         trace = np.full(np.shape(new_q), np.nan)
     else:
         trace = trace_fn(g_vals)
-    new_state = SavState(new_u, new_v, new_q, state.n + 1, vals_new, rad_new, f_vals_new)
+    new_state = SavState(new_u, new_v, new_q, state.n + 1, vals_new, rad_new, f_vals_new,
+                         v_new, energy_sum)
     return new_state, StepDiagnostics(
         V=v_new,
         V1=v1,
@@ -261,10 +278,14 @@ def step_exponential_sav(
     straight into the analysis buffer, and when g is f, g takes f's values
     of u.  With `diagnostics`, the nodal values of u_{n+1}, f(u_{n+1}) and
     F(u_{n+1}) + delta0 ride on the returned state, so the next step reuses
-    them.  The rank-one update is four row dots and elementwise ops
-    written in place into five fresh (..., K) arrays: at the batch sizes
-    the studies run, numpy's fixed cost per call, not arithmetic, sets its
-    pace.
+    them, and so does V_{n+1}.  The rank-one update is four row dots and
+    elementwise ops written in place into five fresh (..., K) arrays: at the
+    batch sizes the studies run, numpy's fixed cost per call, not
+    arithmetic, sets its pace.  For the same reason the new state is
+    checked as a whole: three dots give its summed energy `energy_sum`
+    (carried on the returned state), and only when that exceeds
+    ENERGY_GUARD/2, inf and NaN included, are u, v and q scanned entry by
+    entry for a non-finite value.
     """
     u, v, q = state.u, state.v, state.q
     b, g_inc, g_vals = _step_inputs(state, dw, problem, ops, u_hat)
@@ -302,11 +323,14 @@ def step_exponential_sav(
     np.multiply(table.a2, b, out=tmp)
     tmp *= q_mid[..., None]
     new_v -= tmp
-    _check_finite(new_u, new_v, new_q, state.n)
+    np.multiply(table.sqrt_lam, new_u, out=tmp)
+    energy_sum = 0.5 * (np.vdot(tmp, tmp) + np.vdot(new_v, new_v)) + np.vdot(new_q, new_q)
+    if not energy_sum <= _HEALTHY_SUM:
+        _check_finite(new_u, new_v, new_q, state.n)
     if not diagnostics:
-        return SavState(new_u, new_v, new_q, state.n + 1), None
+        return SavState(new_u, new_v, new_q, state.n + 1, energy_sum=energy_sum), None
     return _diagnostics(
-        problem, ops, state, new_u, new_v, new_q, g_inc, denom, trace_fn, g_vals
+        problem, ops, state, new_u, new_v, new_q, g_inc, denom, trace_fn, g_vals, energy_sum
     )
 
 
@@ -399,17 +423,23 @@ class Integrator:
         return diag
 
     def energy(self):
-        return modified_energy(self.state.u, self.state.v, self.state.q, self.ops.lam)
+        """Modified energy V per path; a state's cached V itself, not a copy, if it has one."""
+        s = self.state
+        return modified_energy(s.u, s.v, s.q, self.ops.lam) if s.V is None else s.V
 
     def sanitize(self, excluded):
         """Mark bad paths in `excluded` and park them at a benign state.
 
         A path is bad when its modified energy V is not <= ENERGY_GUARD: above
-        the guard, inf or NaN.  When no path is bad, it returns after V, one
-        comparison and one reduction.  The parked state is built from new
-        arrays, so it carries no cached nodal values, f values or radicand:
-        the next step synthesizes them afresh.
+        the guard, inf or NaN.  A state whose `energy_sum` is at most
+        ENERGY_GUARD/2 has no bad path (SavState), so it returns at once;
+        otherwise, a hand-built state included, it compares each path's V
+        (`energy`).  The parked state is built from new arrays, so it carries
+        no cache: the next step synthesizes it afresh.
         """
+        total = self.state.energy_sum
+        if total is not None and total <= _HEALTHY_SUM:
+            return excluded
         ok = self.energy() <= ENERGY_GUARD
         if ok.all():
             return excluded

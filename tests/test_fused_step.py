@@ -2,9 +2,11 @@
 
 A step synthesizes u once, evaluates the drift pair (f, Ftilde) jointly once
 (Problem.drift_values; g takes f's values when g is f), analyses
-[f(u); g(u)*dW] in one `project` call, and hands nodal u_{n+1}, f(u_{n+1}) and
-F(u_{n+1}) + delta0 from its diagnostics to the next step.  These tests pin
-that the cache changes no bit of any result, that code building states
+[f(u); g(u)*dW] in one `project` call, and hands nodal u_{n+1}, f(u_{n+1}),
+F(u_{n+1}) + delta0 and V_{n+1} from its diagnostics to the next step.  Every
+step also carries the batch's summed energy, which spares a healthy batch the
+finiteness scan and `Integrator.sanitize` its per-path energies.  These tests
+pin that the cache changes no bit of any result, that code building states
 outside a stepper drops it, and how many transforms and pointwise maps a step
 costs.
 """
@@ -14,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from savwave import cli, fem, model
+from savwave import cli, fem, model, schemes
 from savwave.harness import _batched_initial
 from savwave.model import (
     Discretization,
@@ -25,7 +27,9 @@ from savwave.model import (
 )
 from savwave.noise import RngStream, trace_operator
 from savwave.schemes import (
+    ENERGY_GUARD,
     PREDICTORS,
+    BlowUpError,
     Integrator,
     SavState,
     initial_state,
@@ -76,7 +80,7 @@ def uncached(state):
 
 def assert_same_step(a, b):
     (sa, da), (sb, db) = a, b
-    for name in ("u", "v", "q", "vals", "rad", "fvals"):
+    for name in ("u", "v", "q", "vals", "rad", "fvals", "V", "energy_sum"):
         assert np.array_equal(getattr(sa, name), getattr(sb, name)), name
     for name in ("V", "V1", "aux_gap", "energy_residual", "trace_term", "denominator"):
         assert np.array_equal(getattr(da, name), getattr(db, name)), name
@@ -93,7 +97,8 @@ def test_carried_cache_is_bit_exact(scheme, backend):
     dws = increments(problem, cmap, 3)
     state, _ = step(scheme, state, dws[0], problem, ops)
     state, _ = step(scheme, state, dws[1], problem, ops)
-    assert state.vals is not None and state.rad is not None and state.fvals is not None
+    assert all(x is not None for x in (state.vals, state.rad, state.fvals, state.V))
+    assert np.array_equal(state.V, schemes.modified_energy(state.u, state.v, state.q, ops.lam))
     carried = step(scheme, state, dws[2], problem, ops, u_hat=state.u)
     fresh_state = uncached(state)
     fresh = step(scheme, fresh_state, dws[2], problem, ops, u_hat=fresh_state.u)
@@ -107,6 +112,7 @@ def test_step_without_diagnostics_carries_nothing(scheme, backend):
     new, diag = step(scheme, state, increments(problem, cmap, 1)[0], problem, ops,
                      diagnostics=False)
     assert diag is None and new.vals is None and new.rad is None and new.fvals is None
+    assert new.V is None and new.energy_sum is not None
 
 
 # A path's v set to 1e7 puts V far above the guard; 1e200 makes V = inf from
@@ -130,6 +136,7 @@ def test_sanitize_drops_the_cache_of_a_parked_path(scheme, speed):
     assert excluded.tolist() == [False, True, False, False, False]
     parked = integ.state
     assert parked.vals is None and parked.rad is None and parked.fvals is None
+    assert parked.V is None and parked.energy_sum is None
     assert np.all(parked.u[1] == 0.0)
     integ.step(dws[1], diagnostics=True)
     fresh = SavState(parked.u.copy(), parked.v.copy(), parked.q.copy(), parked.n)
@@ -291,6 +298,100 @@ def test_sine_pair_is_one_tan_unless_a_map_was_replaced(monkeypatch, replaced):
         assert calls == {"tan": 1 + 3, "sin": 0, "cos": 0}
 
 
+def count_energy_checks(monkeypatch):
+    """Calls of the per-path energy and the entrywise finiteness scan from here on."""
+    calls = {"modified_energy": 0, "isfinite": 0}
+    monkeypatch.setattr(schemes, "modified_energy",
+                        counting_ufunc(schemes.modified_energy, calls, "modified_energy"))
+    monkeypatch.setattr(np, "isfinite", counting_ufunc(np.isfinite, calls, "isfinite"))
+    return calls
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_healthy_batch_skips_the_finite_scan_and_the_energies(monkeypatch, scheme, backend):
+    problem, ops, state, cmap = setup(backend)
+    integ = Integrator(scheme, TAU, problem, ops, state)
+    calls = count_energy_checks(monkeypatch)
+    excluded = np.zeros(BATCH, dtype=bool)
+    for dw in increments(problem, cmap, 3):
+        integ.step(dw)
+        excluded = integ.sanitize(excluded)
+    assert calls == {"modified_energy": 0, "isfinite": 0} and not excluded.any()
+
+
+def test_step_with_diagnostics_computes_the_energy_at_most_once(monkeypatch):
+    problem, ops, state, cmap = setup("spectral")
+    integ = Integrator("exponential", TAU, problem, ops, state)
+    calls = count_energy_checks(monkeypatch)
+    per_step = []
+    excluded = np.zeros(BATCH, dtype=bool)
+    for dw in increments(problem, cmap, 3):
+        before = calls["modified_energy"]
+        integ.step(dw, diagnostics=True)
+        excluded = integ.sanitize(excluded)
+        integ.energy()
+        per_step.append(calls["modified_energy"] - before)
+    # V_0 of the first step; afterwards V_n rides on the state
+    assert per_step == [1, 0, 0]
+
+
+def with_row_energies(state, share):
+    """`state` with each first velocity mode set so that its V is about share * ENERGY_GUARD."""
+    v = state.v.copy()
+    v[:, 0] = np.sqrt(2.0 * share * ENERGY_GUARD)
+    return SavState(state.u, v, state.q, state.n)
+
+
+# The bound is a sum over the batch: paths that are each healthy but sum above
+# ENERGY_GUARD/2 must still be compared one by one, and nothing is parked.
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_healthy_paths_summing_above_half_the_guard_take_the_exact_path(monkeypatch, scheme):
+    problem, ops, state, cmap = setup("spectral")
+    integ = Integrator(scheme, TAU, problem, ops, with_row_energies(state, 0.15))
+    calls = count_energy_checks(monkeypatch)
+    integ.step(increments(problem, cmap, 1)[0])
+    stepped = integ.state
+    assert 0.5 * ENERGY_GUARD < stepped.energy_sum < ENERGY_GUARD
+    assert calls["isfinite"] > 0
+    excluded = integ.sanitize(np.zeros(BATCH, dtype=bool))
+    assert calls["modified_energy"] == 1
+    assert not excluded.any() and integ.state is stepped
+    assert np.all(integ.energy() < ENERGY_GUARD)
+
+
+# One path's increment scaled up: the step itself drives that path's V above
+# the guard (1e8) or to inf from finite entries (1e160).
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("kick", [1e8, 1e160])
+def test_path_a_step_drives_above_the_guard_is_parked(scheme, kick):
+    problem, ops, state, cmap = setup("spectral")
+    integ = Integrator(scheme, TAU, problem, ops, state)
+    dw = increments(problem, cmap, 1)[0]
+    dw[1] *= kick
+    with np.errstate(over="ignore"):
+        integ.step(dw)
+        assert np.isfinite(integ.state.v).all()
+        v = integ.energy()
+        excluded = integ.sanitize(np.zeros(BATCH, dtype=bool))
+    assert v[1] > ENERGY_GUARD and (v[1] == np.inf) == (kick == 1e160)
+    assert excluded.tolist() == [False, True, False, False, False]
+    assert np.all(integ.state.u[1] == 0.0)
+
+
+@pytest.mark.parametrize("diagnostics", [False, True])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_step_still_raises(bad, diagnostics):
+    problem, ops, state, cmap = setup("spectral")
+    integ = Integrator("exponential", TAU, problem, ops, state)
+    integ.step(increments(problem, cmap, 1)[0])
+    dw = increments(problem, cmap, 1, seed=5)[0]
+    dw[2, 3] = bad
+    with np.errstate(all="ignore"), pytest.raises(
+            BlowUpError, match="non-finite state produced at step 1"):
+        integ.step(dw, diagnostics=diagnostics)
+
+
 @pytest.mark.parametrize("diagnostics", [True, False])
 def test_radicand_floor_raises_from_the_step_at_zero(diagnostics):
     problem = make_problem(f="sine", g="sine", modes=8, delta0=1e-9)
@@ -349,7 +450,7 @@ def test_held_state_and_diagnostics_keep_their_bytes(predictor):
                        trace_fn=trace_operator(problem.noise, ops))
     diag = integ.step(dws[0], diagnostics=True)
     held = integ.state
-    names = ("u", "v", "q", "vals", "rad", "fvals")
+    names = ("u", "v", "q", "vals", "rad", "fvals", "V")
     before = [getattr(held, n).tobytes() for n in names]
     before_diag = [np.asarray(getattr(diag, n)).tobytes() for n in vars(diag)]
     integ.step(dws[1], diagnostics=True)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import j0
 
+from savwave.fem import assemble
 from savwave.model import (
     DRIFTS,
     ModelViolationError,
@@ -15,7 +16,7 @@ from savwave.model import (
     spectral_discretization,
     uniform_grid,
 )
-from savwave.spectral import SpectralField, to_nodal
+from savwave.spectral import SpectralField, _synthesis_matrix, to_nodal
 
 # int_0^1 (1 - cos(sin(pi x))) dx = 1 - J0(1)
 F_SINE_AT_SINE = 1.0 - j0(1.0)
@@ -168,6 +169,44 @@ class TestGradientConsistency:
         fd = (potential(u + eps * phi, problem, ops) - potential(u - eps * phi, problem, ops)) / (2 * eps)
         inner = float(np.dot(ops.project(problem.f(ops.nodal(u))), phi))
         assert fd == pytest.approx(inner, rel=1e-6)
+
+
+BACKENDS = {"spectral": spectral_discretization, "fem": lambda k: assemble(k + 1)}
+
+
+class TestNodal:
+    """Discretization.nodal: synth @ c for one vector, the C-ordered synth.T for a batch."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("modes", [32, 64])
+    def test_one_vector_is_the_gemv_of_synth(self, backend, modes):
+        ops = BACKENDS[backend](modes)
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            c = rng.standard_normal(modes)
+            assert np.array_equal(ops.nodal(c), ops.synth @ c)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_batch_multiplies_a_c_ordered_transpose(self, backend):
+        ops = BACKENDS[backend](64)
+        c = np.random.default_rng(6).standard_normal((50, 64))
+        assert ops.synth_t.flags.c_contiguous and np.array_equal(ops.synth_t, ops.synth.T)
+        assert np.array_equal(ops.nodal(c), c @ ops.synth_t)
+        assert np.allclose(ops.nodal(c), c @ ops.synth.T, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("shape", [(16,), (5, 16)])
+    def test_replaced_synth_reaches_nodal(self, backend, shape):
+        ops = BACKENDS[backend](16)
+        c = np.random.default_rng(7).standard_normal(shape)
+        before = ops.nodal(c)  # builds ops' transpose
+        doubled = replace(ops, synth=2.0 * ops.synth)
+        assert np.array_equal(doubled.nodal(c), 2.0 * before)
+
+    def test_spectral_synth_is_the_shared_read_only_matrix(self):
+        ops = spectral_discretization(32)
+        assert ops.synth is _synthesis_matrix(32, 64)
+        assert not ops.synth.flags.writeable
 
 
 class TestDealiasing:

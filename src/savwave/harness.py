@@ -6,12 +6,15 @@ pure function of (study config, chunk index), and partial results are
 combined in chunk order, so the output is bit-identical no matter how many
 workers run the study.  A pool task steps a group of consecutive chunks as
 one (rows, modes) array, as many as keep its nodal arrays within
-`_GROUP_VALUES` values.  The groups depend on the study alone, never on the
-worker count, and sums stay per chunk, so grouping changes no summation
-order.  A study sends every group, of every scheme or step size it compares,
-through one process pool.  Each task streams its noise through
-`noise.increments`, so it holds O(rows * modes) memory whatever its step
-count.
+`_GROUP_VALUES` values, in groups of equal size (`_groups`).  The groups
+depend on the study alone, never on the worker count, and sums stay per
+chunk, so grouping changes no summation order.  A convergence task steps
+all the schemes it compares on one (schemes, rows, modes) state, so each
+fine increment is drawn, synthesized and summed into the coarse ones once;
+its tasks are split by rows only.  A study sends every group, of every step
+size it compares, through one process pool.  Each task streams its noise
+through `noise.increments`, so it holds O(rows * modes) memory whatever its
+step count.
 """
 
 from __future__ import annotations
@@ -153,16 +156,23 @@ def _problem(study, modes):
 
 
 def _batched_initial(problem, ops, batch, initial=None):
-    """`batch` copies of the initial state: (u0, v0) coefficients, default the problem's."""
+    """`batch` copies of the initial state: (u0, v0) coefficients, default the problem's.
+
+    `batch` is a row count or a tuple of leading axes, (S, B) for a stack of S schemes.
+    """
     u0, v0 = (problem.u0.coeffs, problem.v0.coeffs) if initial is None else initial
-    return initial_state(np.tile(u0, (batch, 1)), np.tile(v0, (batch, 1)), problem, ops)
+    reps = (*np.atleast_1d(batch), 1)
+    return initial_state(np.tile(u0, reps), np.tile(v0, reps), problem, ops)
 
 
-# Values in one (rows, nodes) nodal array of a pool task: consecutive chunks
-# are stepped as one array while rows x nodes stays within 2^15 float64
-# values (256 KiB).  Small batches cost mostly per-call overhead (at K = 64 a
-# path-step took 11.9 us at 25 rows and 7.5 us at 200, one BLAS thread);
-# at K = 256 the cost was flat from 25 rows on.
+# Values in the nodal arrays of one pool task: consecutive chunks are stepped
+# as one array while stack x rows x nodes stays within 2^15 float64 values
+# (256 KiB), with a convergence task's S schemes stacked on its rows.  Small
+# batches cost mostly per-call overhead (at K = 64 a path-step took 11.9 us at
+# 25 rows and 7.5 us at 200, one BLAS thread); at K = 256 the cost was flat
+# from 25 rows on.  Stacking keeps that true: a linear/sine study of
+# criterion 4 (K = 64, 8 chunks of 25, 2 schemes, 2 workers on 2 cores) took
+# 18.3-21.0 s in 2 groups of 4 chunks against 26.0-26.4 s in 8 groups of 1.
 _GROUP_VALUES = 2**15
 
 
@@ -204,19 +214,36 @@ def _one_blas_thread():
                 break
 
 
-def _map_chunks(fn, study, modes, workers, keys=(None,)):
+def _groups(study, modes, stack=1):
+    """(first, stop) chunk ranges of the pool tasks of `study`, from the study alone.
+
+    A task steps `stack` x rows x (2 * modes + 1) nodal values, so a group
+    holds as many chunks as keep that within `_GROUP_VALUES`, at least one.
+    There are at least `stack` groups when there are that many chunks, so
+    stacking S schemes in a task leaves no fewer tasks than one per scheme
+    would.  Group sizes differ by at most one chunk, so that no task runs
+    long while the others idle, and the larger groups come last, so that a
+    short last chunk shares its group whenever groups hold several chunks: a
+    batch of one row goes through BLAS matrix-vector kernels, whose bits
+    differ from those of its row in a matrix product.
+    """
+    n_chunks = (study.realizations + study.chunk - 1) // study.chunk
+    per_task = max(1, _GROUP_VALUES // (stack * study.chunk * (2 * modes + 1)))
+    n_groups = max(-(-n_chunks // per_task), min(stack, n_chunks))
+    return [(j * n_chunks // n_groups, (j + 1) * n_chunks // n_groups) for j in range(n_groups)]
+
+
+def _map_chunks(fn, study, modes, workers, keys=(None,), stack=1):
     """Every chunk of `study`, per key, as one list of chunk results in chunk order.
 
     Each task calls fn(first, stop) or fn(key, first, stop) on a group of
-    consecutive chunks, which it steps as one array on the dealiased grid of
-    `modes` sine modes, and returns one result per chunk.  A group holds as
-    many chunks as keep rows x (2 * modes + 1) within `_GROUP_VALUES`, at
-    least one; the worker count plays no part.  All tasks share one pool,
-    whose workers run one BLAS thread each.
+    consecutive chunks (`_groups`), which it steps as one array on the
+    dealiased grid of `modes` sine modes, `stack` schemes deep, and returns
+    one result per chunk.  The worker count plays no part in the groups.
+    All tasks share one pool, whose workers run one BLAS thread each.
     """
-    n_chunks = (study.realizations + study.chunk - 1) // study.chunk
-    per_task = max(1, _GROUP_VALUES // (study.chunk * (2 * modes + 1)))
-    groups = [(c, min(c + per_task, n_chunks)) for c in range(0, n_chunks, per_task)]
+    groups = _groups(study, modes, stack)
+    n_chunks = groups[-1][1]
     tasks = [g if key is None else (key, *g) for key in keys for g in groups]
     if workers <= 1 or len(tasks) <= 1:
         parts = [fn(*task) for task in tasks]
@@ -232,7 +259,13 @@ def _map_chunks(fn, study, modes, workers, keys=(None,)):
 # Strong temporal convergence.
 
 
-def _convergence_chunk(study, scheme, first, stop=None):
+def _convergence_chunk(study, first, stop=None):
+    """Squared terminal errors (schemes, levels, rows) and exclusions (schemes, rows) per chunk.
+
+    Every scheme steps on one stacked state, so each fine increment is drawn,
+    synthesized and summed into the coarse ones once for all of them.  A
+    `reference_scheme` is one (1, B, K) slab that every scheme's error reads.
+    """
     streams, spans = _group(study, first, stop)
     batch = len(streams)
     problem = _problem(study, study.modes)
@@ -240,18 +273,16 @@ def _convergence_chunk(study, scheme, first, stop=None):
     tau_ref = 2.0**-study.ref_exp
     n_fine = round(study.T / tau_ref)
     multiples = [2 ** (study.ref_exp - e) for e in study.tau_exps]
+    n_schemes = len(study.schemes)
 
-    ref = Integrator(
-        study.reference_scheme or scheme, tau_ref, problem, ops,
-        _batched_initial(problem, ops, batch), study.predictor,
-    )
-    levels = [
-        Integrator(scheme, 2.0**-e, problem, ops,
-                   _batched_initial(problem, ops, batch), study.predictor)
-        for e in study.tau_exps
-    ]
+    def stacked(schemes, tau):
+        return Integrator(schemes, tau, problem, ops,
+                          _batched_initial(problem, ops, (len(schemes), batch)), study.predictor)
+
+    ref = stacked((study.reference_scheme,) if study.reference_scheme else study.schemes, tau_ref)
+    levels = [stacked(study.schemes, 2.0**-e) for e in study.tau_exps]
     accums = [np.zeros((batch, study.modes)) for _ in levels]
-    excluded = np.zeros(batch, dtype=bool)
+    excluded = np.zeros((n_schemes, batch), dtype=bool)
 
     for k, dw in enumerate(increments(problem.noise, tau_ref, n_fine, streams)):
         ref.step(dw)
@@ -263,16 +294,17 @@ def _convergence_chunk(study, scheme, first, stop=None):
                 excluded = lvl.sanitize(excluded)
                 acc[:] = 0.0
 
-    sq_errors = np.empty((len(levels), batch))
+    sq_errors = np.empty((n_schemes, len(levels), batch))
     for i, lvl in enumerate(levels):
         du = ref.state.u - lvl.state.u
-        if study.norm == "h":
-            dv = ref.state.v - lvl.state.v
-            err2 = np.einsum("bk,bk->b", ops.lam * du, du) + np.einsum("bk,bk->b", dv, dv)
-        else:
-            err2 = np.einsum("bk,bk->b", du, du)
-        sq_errors[i] = err2
-    return [(sq_errors[:, s], excluded[s]) for s in spans]
+        dv = ref.state.v - lvl.state.v
+        for s in range(n_schemes):  # 2-D row dots: a 3-D einsum sums in another order
+            if study.norm == "h":
+                sq_errors[s, i] = (np.einsum("bk,bk->b", ops.lam * du[s], du[s])
+                                   + np.einsum("bk,bk->b", dv[s], dv[s]))
+            else:
+                sq_errors[s, i] = np.einsum("bk,bk->b", du[s], du[s])
+    return [(sq_errors[..., s], excluded[:, s]) for s in spans]
 
 
 @dataclass(frozen=True)
@@ -296,11 +328,11 @@ def strong_convergence(study, workers=1):
     """RMS terminal error per ladder step size, per scheme, on coupled paths."""
     results = []
     taus = np.array([2.0**-e for e in study.tau_exps])
-    per_scheme = _map_chunks(partial(_convergence_chunk, study), study, study.modes, workers,
-                             study.schemes)
-    for scheme, parts in zip(study.schemes, per_scheme):
-        sq = np.concatenate([p[0] for p in parts], axis=1)
-        excluded = np.concatenate([p[1] for p in parts])
+    parts, = _map_chunks(partial(_convergence_chunk, study), study, study.modes, workers,
+                         stack=len(study.schemes))
+    all_sq = np.concatenate([p[0] for p in parts], axis=2)
+    all_excluded = np.concatenate([p[1] for p in parts], axis=1)
+    for scheme, sq, excluded in zip(study.schemes, all_sq, all_excluded):
         keep = ~excluded
         kept = sq[:, keep]
         n = kept.shape[1]

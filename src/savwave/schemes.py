@@ -37,7 +37,7 @@ from .model import (
     spectral_discretization,
 )
 from .noise import increments, trace_operator
-from .spectral import cayley_group_table, wave_group_table
+from .spectral import WaveGroupTable, cayley_group_table, wave_group_table
 
 __all__ = [
     "BlowUpError",
@@ -391,17 +391,23 @@ def substitution_residual(
 
 
 class Integrator:
-    """Fixed-step batched integrator of one scheme, with predictor memory.
+    """Fixed-step batched integrator of one scheme or a stack of schemes, with predictor memory.
 
     The only place where a scheme name selects its propagator table
     (`SCHEMES[scheme](ops.lam, tau)`): the exponential scheme steps on the
     wave group, the midpoint scheme on the Cayley table, both through
-    step_exponential_sav.
+    step_exponential_sav.  A tuple of S names stacks their tables into one
+    whose arrays are (S, 1, K); the state is then (S, B, K) with q of shape
+    (S, B), and one step advances every scheme on the same increment, which
+    broadcasts from (B, K).  Each slice s takes the bits the unstacked
+    scheme s would.
     """
 
     def __init__(self, scheme, tau, problem, ops, state, predictor="identity", trace_fn=None):
-        if scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme '{scheme}'; choose from {tuple(SCHEMES)}")
+        names = (scheme,) if isinstance(scheme, str) else tuple(scheme)
+        for name in names:
+            if name not in SCHEMES:
+                raise ValueError(f"unknown scheme '{name}'; choose from {tuple(SCHEMES)}")
         if predictor not in PREDICTORS:
             raise ValueError(f"unknown predictor '{predictor}'; choose from {PREDICTORS}")
         self.problem = problem
@@ -410,7 +416,10 @@ class Integrator:
         self.predictor = predictor
         self.trace_fn = trace_fn
         self.u_prev = state.u.copy()
-        self.table = SCHEMES[scheme](ops.lam, tau)
+        tables = [SCHEMES[name](ops.lam, tau) for name in names]
+        self.table = tables[0] if isinstance(scheme, str) else WaveGroupTable(tables[0].tau, *(
+            np.stack([getattr(t, f) for t in tables])[:, None]
+            for f in ("lam", "cos", "sin", "sqrt_lam", "a1", "a2")))
 
     def step(self, dw, diagnostics=False):
         u = self.state.u
@@ -435,7 +444,9 @@ class Integrator:
         ENERGY_GUARD/2 has no bad path (SavState), so it returns at once;
         otherwise, a hand-built state included, it compares each path's V
         (`energy`).  The parked state is built from new arrays, so it carries
-        no cache: the next step synthesizes it afresh.
+        no cache: the next step synthesizes it afresh.  `excluded` holds one
+        flag per path, (S, B) for a stack of S schemes; a (1, B) stack, such
+        as a reference shared by S schemes, marks a bad path in all S.
         """
         total = self.state.energy_sum
         if total is not None and total <= _HEALTHY_SUM:

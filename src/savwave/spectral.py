@@ -90,8 +90,9 @@ class WaveGroupTable:
 
     cos/sin are cos(tau*sqrt(lam_k)) and sin(tau*sqrt(lam_k)), or their
     Cayley approximation; a1 is the nonnegative filter (1 - cos)/lam_k and
-    a2 = sin/sqrt(lam_k).  Immutable after construction and safe to share
-    across threads.
+    a2 = sin/sqrt(lam_k).  Each array has shape (K,), or (S, 1, K) for a
+    stack of S schemes that steps an (S, B, K) state (schemes.Integrator).
+    Immutable after construction and safe to share across threads.
     """
 
     tau: float
@@ -115,7 +116,7 @@ class WaveGroupTable:
 
     @property
     def modes(self):
-        return self.lam.size
+        return self.lam.shape[-1]
 
     @cached_property
     def quarter_a1(self):

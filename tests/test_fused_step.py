@@ -146,6 +146,29 @@ def test_sanitize_drops_the_cache_of_a_parked_path(scheme, speed):
     assert np.array_equal(integ.state.q, expect.q)
 
 
+def test_stacked_sanitize_parks_per_scheme_and_path():
+    # Scheme 1's path 2 is non-finite in a hand-built (2, B, K) stack: only
+    # that (scheme, path) is excluded and parked, and the next stacked step
+    # gives each scheme the bits of its own unstacked integrator.
+    problem, ops, state, cmap = setup("spectral")
+    v = np.stack([state.v, state.v])
+    v[1, 2] = np.nan
+    stacked = Integrator(("exponential", "midpoint"), TAU, problem, ops,
+                         SavState(np.stack([state.u, state.u]), v, np.stack([state.q, state.q])))
+    excluded = stacked.sanitize(np.zeros((2, BATCH), dtype=bool))
+    assert np.argwhere(excluded).tolist() == [[1, 2]]
+    assert np.all(stacked.state.u[1, 2] == 0.0) and np.all(stacked.state.u[0] == state.u)
+    dw = increments(problem, cmap, 1)[0]
+    stacked.step(dw)
+    for s, (scheme, row_v) in enumerate(zip(("exponential", "midpoint"), v)):
+        single = Integrator(scheme, TAU, problem, ops, SavState(state.u, row_v, state.q))
+        assert single.sanitize(np.zeros(BATCH, dtype=bool)).tolist() == excluded[s].tolist()
+        single.step(dw)
+        for name in ("u", "v", "q"):
+            assert getattr(stacked.state, name)[s].tobytes() == \
+                getattr(single.state, name).tobytes(), (scheme, name)
+
+
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_extrapolated_drift_is_synthesized_from_u_hat(scheme):
     problem, ops, state, cmap = setup("spectral")

@@ -77,7 +77,9 @@ class TestStrongConvergence:
         # must be the fine draw, or the in-order sum of its fine draws, that
         # noise.coupled_path defines for that path.  A 24-step noise window
         # divides neither the 256 fine steps nor any ladder multiple.
-        study = type(MINI)(**{**MINI.__dict__, "realizations": 6, "chunk": 3})
+        # Both schemes: the stacked task takes one increment per step for both.
+        study = type(MINI)(**{**MINI.__dict__, "realizations": 6, "chunk": 3,
+                              "schemes": ("exponential", "midpoint")})
         monkeypatch.setattr(noise, "_NORMALS_PER_DRAW", 24 * study.modes)
         seen = {}
         step = schemes.Integrator.step
@@ -87,7 +89,7 @@ class TestStrongConvergence:
             return step(self, dw, diagnostics)
 
         monkeypatch.setattr(schemes.Integrator, "step", recording_step)
-        _convergence_chunk(study, "exponential", 1)
+        _convergence_chunk(study, 1)
 
         tau_ref = 2.0**-study.ref_exp
         n_fine = round(study.T / tau_ref)
@@ -101,6 +103,27 @@ class TestStrongConvergence:
             assert np.array_equal(np.array(seen[tau_ref])[:, b], paths[1])
             for e, m in zip(study.tau_exps, multiples):
                 assert np.array_equal(np.array(seen[2.0**-e])[:, b], paths[m])
+
+    @pytest.mark.parametrize("norm", ["l2", "h"])
+    @pytest.mark.parametrize("predictor", ["identity", "extrapolation"])
+    @pytest.mark.parametrize("reference", [None, "exponential"])
+    def test_stacked_schemes_match_single_scheme_studies(self, norm, predictor, reference):
+        # One task steps both schemes on one (2, B, K) state; each scheme's
+        # results must be the bytes its own study gives.  A cubic drift at
+        # coarse steps carries round-off into the outputs, and 7 rows in
+        # chunks of 3 end on a chunk of one row, which the stacked study (2
+        # groups) and the single ones (1 group) both step inside a group.
+        study = ConvergenceStudy(
+            f="cubic", g="sine", modes=16, T=0.5, tau_exps=(3, 4, 5), ref_exp=7,
+            schemes=("exponential", "midpoint"), predictor=predictor,
+            reference_scheme=reference, norm=norm, realizations=7, seed=17, chunk=3,
+        )
+        stacked = strong_convergence(study).per_scheme
+        for res in stacked:
+            single, = strong_convergence(replace(study, schemes=(res.scheme,))).per_scheme
+            assert res.rms_error.tobytes() == single.rms_error.tobytes()
+            assert res.stderr.tobytes() == single.stderr.tobytes()
+            assert res.excluded == single.excluded
 
     def test_h_norm_errors_dominate_l2(self):
         l2 = strong_convergence(MINI).per_scheme[0]
@@ -258,14 +281,17 @@ def _run_layouts(monkeypatch, study_fn, study, chunk_fn):
         return body(*args)
 
     n_chunks = -(-study.realizations // study.chunk)
-    keys = len(getattr(study, "schemes", (None,)))
+    # A convergence task steps all its schemes stacked, and there are at
+    # least as many groups as schemes; these studies fit one group otherwise.
+    grouped = min(len(getattr(study, "schemes", (None,))), n_chunks)
+    assert grouped < n_chunks
     out = {}
     for layout, cap in (("grouped", harness._GROUP_VALUES), ("single", 1)):
         monkeypatch.setattr(harness, "_GROUP_VALUES", cap)
         with monkeypatch.context() as m:  # the counter runs in-process only
             m.setattr(harness, chunk_fn, counting)
             out[layout, 1] = study_fn(study, workers=1)
-        assert len(calls) == keys * (1 if layout == "grouped" else n_chunks)
+        assert len(calls) == (grouped if layout == "grouped" else n_chunks)
         calls.clear()
         out[layout, 3] = study_fn(study, workers=3)
     return out
@@ -321,6 +347,28 @@ class TestChunkGroups:
         base = out["single", 1]
         for res in out.values():
             np.testing.assert_allclose(res.rms_error, base.rms_error, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("study, modes, stack, groups", [
+    pytest.param(  # benchmark converge-ladder: 2 chunks, 2 stacked schemes
+        ConvergenceStudy(f="sine", g="sine", modes=64, T=0.5, tau_exps=(6, 7, 8, 9, 10),
+                         ref_exp=12, realizations=50, chunk=25), 64, 2,
+        [(0, 1), (1, 2)], id="converge-ladder"),
+    pytest.param(  # criterion 4: 8 chunks, at most 5 per stacked task
+        ConvergenceStudy(modes=64, realizations=200, chunk=25), 64, 2,
+        [(0, 4), (4, 8)], id="criterion-4"),
+    pytest.param(
+        EnergyStudy(modes=256, T=1.0, tau=2.0**-8, realizations=250, chunk=125), 256, 1,
+        [(0, 1), (1, 2)], id="energy-diag"),
+    pytest.param(
+        SpatialStudy(ref_modes=256, realizations=50, chunk=25), 256, 1,
+        [(0, 2)], id="spatial-fem"),
+    pytest.param(  # the one-row last chunk shares the larger, last group
+        ConvergenceStudy(modes=64, realizations=51, chunk=25), 64, 2,
+        [(0, 1), (1, 3)], id="short-last-chunk"),
+])
+def test_groups_follow_from_the_study_alone(study, modes, stack, groups):
+    assert harness._groups(study, modes, stack) == groups
 
 
 def test_group_spans_are_relative_to_the_group():

@@ -13,7 +13,6 @@ from .model import (
 from .noise import (
     CovarianceSpec,
     RngStream,
-    coupled_path,
     power_covariance,
     trace,
 )
@@ -34,12 +33,8 @@ from .schemes import (
 from .spectral import (
     SpectralField,
     WaveGroupTable,
-    eigenvalue,
     eigenvalues,
-    sobolev_norm_sq,
     spectral_group_table,
-    to_nodal,
-    to_spectral,
     wave_group_table,
 )
 

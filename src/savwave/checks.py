@@ -15,7 +15,7 @@ import numpy as np
 from . import fem as fem_mod
 from .harness import ConvergenceStudy, _batched_initial, fit_loglog, strong_convergence
 from .model import make_problem, spectral_discretization
-from .noise import RngStream
+from .noise import CovarianceSpec, RngStream, power_covariance
 from .schemes import (
     SCHEMES,
     BlowUpError,
@@ -127,70 +127,71 @@ def _check_spectral_hoelder(rng, _):
 
 
 def _check_spectral_roundtrip(rng, _):
-    from .spectral import SpectralField, to_nodal, to_spectral
-
-    modes = 48
-    f = SpectralField(rng.standard_normal(modes))
-    back = to_spectral(to_nodal(f, 2 * modes), modes=modes)
-    worst = np.max(np.abs(back.coeffs - f.coeffs)) / np.max(np.abs(f.coeffs))
+    ops = spectral_discretization(48)
+    c = rng.standard_normal(48)
+    back = ops.project(ops.nodal(c))
+    worst = np.max(np.abs(back - c)) / np.max(np.abs(c))
     return _result("spectral.transform_roundtrip", worst, 1e-12)
 
 
 def _check_spectral_parseval(rng, _):
-    from .model import uniform_grid
-    from .spectral import SpectralField, sobolev_norm_sq, to_nodal
-
-    modes = 8
     m = 256
-    f = SpectralField(_smooth_field(rng, modes, 2.0))
-    grid = uniform_grid(m)
-    quad = float(np.sum(grid.weights * to_nodal(f, m) ** 2))
-    err = abs(quad - sobolev_norm_sq(f, 0.0))
+    ops = spectral_discretization(8, grid_points=m)
+    c = _smooth_field(rng, 8, 2.0)
+    err = abs(float(ops.quad(ops.nodal(c) ** 2)) - c @ c)
     return _result("spectral.parseval_quadrature", err, 5.0 / m**2)
 
 
-def _check_noise_variance(_, seed):
-    from .noise import CovarianceSpec, sample_block
+def _drawn(cov, tau, n_steps, stream):
+    """(n_steps, K) increments of one stream as `noise.increments` yields them."""
+    from .noise import increments
 
+    return np.array([dw[0].copy() for dw in increments(cov, tau, n_steps, [stream])])
+
+
+def _check_noise_variance(_, seed):
     cov = CovarianceSpec(np.array([1.0, 0.5]))
     n = 100_000
     tau = 0.01
-    block = sample_block(cov, tau, n, RngStream(seed, 77))
+    block = _drawn(cov, tau, n, RngStream(seed, 77))
     var = np.var(block[:, 0], ddof=1)
     se = tau * np.sqrt(2.0 / (n - 1))
     return _result("noise.increment_variance", abs(var - tau), 5 * se, f"n = {n}")
 
 
 def _check_noise_coupling(_, seed):
-    from .noise import coupled_path, power_covariance
+    from .noise import coupled_increments
 
-    cov = power_covariance(8)
-    paths = coupled_path(cov, 2.0**-8, 64, [1, 2, 8], RngStream(seed, 3))
-    worst = 0.0
-    fine = paths[1]
-    for m in (2, 8):
-        manual = np.zeros_like(paths[m])
-        for i in range(m):
-            manual += fine[i::m]
-        worst = max(worst, float(np.max(np.abs(manual - paths[m]))))
+    # K = 12 draws 342-step noise windows, which divide neither the 1024 fine
+    # steps nor any multiple; multiples of 4 and up tell an in-order sum from
+    # a reversed one.
+    multiples = (2, 4, 32)
+    fine, worst, count = [], 0.0, 0
+    for dw, done in coupled_increments(power_covariance(12), 2.0**-10, 1024,
+                                       [RngStream(seed, 3), RngStream(seed, 4)], multiples):
+        fine.append(dw.copy())
+        for level, coarse in done:
+            manual = np.zeros_like(coarse)
+            for f in fine[-multiples[level]:]:
+                manual += f
+            worst = max(worst, float(np.max(np.abs(manual - coarse))))
+            count += 1
+    if count != sum(1024 // m for m in multiples):  # a coarse step went missing
+        worst = np.inf
     return _result("noise.coupling_exact", worst, 0.0, "bitwise aggregation")
 
 
 def _check_noise_replay(_, seed):
-    from .noise import power_covariance, sample_block
-
     cov = power_covariance(16)
-    a = sample_block(cov, 0.1, 100, RngStream(seed, 5))
-    b = sample_block(cov, 0.1, 100, RngStream(seed, 5))
+    a = _drawn(cov, 0.1, 100, RngStream(seed, 5))
+    b = _drawn(cov, 0.1, 100, RngStream(seed, 5))
     return _result("noise.replay_determinism", float(np.max(np.abs(a - b))), 0.0)
 
 
 def _check_noise_autocorr(_, seed):
-    from .noise import CovarianceSpec, sample_block
-
     cov = CovarianceSpec(np.array([1.0]))
     n = 100_000
-    draws = sample_block(cov, 1.0, n, RngStream(seed, 11))[:, 0]
+    draws = _drawn(cov, 1.0, n, RngStream(seed, 11))[:, 0]
     x = draws - np.mean(draws)
     r = float(np.sum(x[1:] * x[:-1]) / np.sum(x**2))
     return _result("noise.lag1_autocorrelation", abs(r), 5.0 / np.sqrt(n))

@@ -90,6 +90,10 @@ class RunConfig:
         return n
 
     def validate(self):
+        for key, value in (("time.T", self.T), ("problem.sigma", self.sigma),
+                           ("noise.decay", self.noise_decay)):
+            if not np.isfinite(value):
+                raise ConfigError(f"invalid value for {key}: {value}")
         if self.f not in DRIFTS:
             raise ConfigError(f"invalid value for problem.f: {self.f}")
         if self.g not in DIFFUSIONS:
@@ -327,8 +331,11 @@ def _converge_study(config, paper_scale):
 
 
 def cmd_converge(config, out_dir, svg=False, workers=1, paper_scale=False):
+    try:
+        study = _converge_study(config, paper_scale)
+    except ValueError as exc:  # the only study check RunConfig.validate leaves: T
+        raise ConfigError(f"invalid value for time.T: {exc}") from exc
     out_dir.mkdir(parents=True, exist_ok=True)
-    study = _converge_study(config, paper_scale)
     result = strong_convergence(study, workers=workers)
     rows = []
     footer = []
@@ -433,11 +440,7 @@ def main(argv=None):
         if args.out is not None:
             overrides["out_dir"] = args.out
         config = load_config(args.config, overrides)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    out_dir = Path(config.out_dir)
-    try:
+        out_dir = Path(config.out_dir)
         if args.command == "simulate":
             return cmd_simulate(config, out_dir, svg=args.svg)
         if args.command == "converge":
@@ -446,6 +449,9 @@ def main(argv=None):
         if args.command == "energy":
             return cmd_energy(config, out_dir, svg=args.svg, workers=args.workers,
                               paper_scale=args.paper_scale)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except (BlowUpError, ModelViolationError) as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 3

@@ -13,8 +13,9 @@ all the schemes it compares on one (schemes, rows, modes) state, so each
 fine increment is drawn, synthesized and summed into the coarse ones once;
 its tasks are split by rows only.  A study sends every group, of every step
 size it compares, through one process pool.  Each task streams its noise
-through `noise.increments`, so it holds O(rows * modes) memory whatever its
-step count.
+through `noise.increments` (a convergence task through
+`noise.coupled_increments`, which also sums the coarse increments), so it
+holds O(rows * modes) memory whatever its step count.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import fem as fem_mod
 from .model import make_problem, spectral_discretization, uniform_grid
-from .noise import RngStream, increments, trace as cov_trace, trace_operator
+from .noise import RngStream, coupled_increments, increments, trace as cov_trace, trace_operator
 from .schemes import SCHEMES, Integrator, initial_state
 
 __all__ = [
@@ -82,6 +83,10 @@ class ConvergenceStudy:
     def __post_init__(self):
         if any(e > self.ref_exp for e in self.tau_exps):
             raise ValueError("reference step must divide every ladder step")
+        # T * 2^e is exact, so T is a whole number of steps 2^-e iff it is an integer
+        for e in (*self.tau_exps, self.ref_exp):
+            if not (self.T * 2.0**e).is_integer():
+                raise ValueError(f"T = {self.T} is not a whole number of steps 2^-{e}")
         if self.norm not in ("l2", "h"):
             raise ValueError(f"unknown error norm '{self.norm}'")
 
@@ -281,18 +286,14 @@ def _convergence_chunk(study, first, stop=None):
 
     ref = stacked((study.reference_scheme,) if study.reference_scheme else study.schemes, tau_ref)
     levels = [stacked(study.schemes, 2.0**-e) for e in study.tau_exps]
-    accums = [np.zeros((batch, study.modes)) for _ in levels]
     excluded = np.zeros((n_schemes, batch), dtype=bool)
 
-    for k, dw in enumerate(increments(problem.noise, tau_ref, n_fine, streams)):
+    for dw, done in coupled_increments(problem.noise, tau_ref, n_fine, streams, multiples):
         ref.step(dw)
         excluded = ref.sanitize(excluded)
-        for lvl, acc, m in zip(levels, accums, multiples):
-            acc += dw
-            if (k + 1) % m == 0:
-                lvl.step(acc)
-                excluded = lvl.sanitize(excluded)
-                acc[:] = 0.0
+        for i, coarse in done:
+            levels[i].step(coarse)
+            excluded = levels[i].sanitize(excluded)
 
     sq_errors = np.empty((n_schemes, len(levels), batch))
     for i, lvl in enumerate(levels):

@@ -161,7 +161,7 @@ def _sine_pair(u, out=None):
 
 # Built-in drift pairs (f, Ftilde) with Ftilde' = f and Ftilde(0) = 0.  Steppers
 # evaluate them jointly (Problem.drift_values: the sine pair from one tan); f and
-# Ftilde stay the oracles of drift_core, nodal_radicand, sav_radicand and
+# Ftilde stay the oracles of drift_core, sav_radicand and
 # schemes.substitution_residual.
 DRIFTS = {
     "zero": (_zero, _zero),
@@ -279,14 +279,9 @@ def radicand(F_vals, problem, ops):
     return rad
 
 
-def nodal_radicand(vals, problem, ops):
-    """F(u) + delta0 from the nodal values of u."""
-    return radicand(problem.Ftilde(vals), problem, ops)
-
-
 def sav_radicand(coeffs, problem, ops):
     """F(u) + delta0 of coefficient arrays (bench/microgrid.py seeds q with it)."""
-    return nodal_radicand(ops.nodal(coeffs), problem, ops)
+    return radicand(problem.Ftilde(ops.nodal(coeffs)), problem, ops)
 
 
 # drift_core, diffusion_values and apply_g_core are the unfused step
@@ -298,7 +293,7 @@ def sav_radicand(coeffs, problem, ops):
 def drift_core(u_hat, problem, ops):
     """Normalized drift direction b = P_K f(u_hat)/s and s = sqrt(F(u_hat)+delta0)."""
     vals = ops.nodal(u_hat)
-    s = np.sqrt(nodal_radicand(vals, problem, ops))
+    s = np.sqrt(radicand(problem.Ftilde(vals), problem, ops))
     b = ops.project(problem.f(vals)) / s[..., None]
     return b, s
 

@@ -3,14 +3,14 @@
 The covariance is diagonal in the Dirichlet sine basis, so an increment over
 a step tau is a vector of independent Gaussians with per-mode variance
 q_k * tau.  Streams are keyed by (master seed, realization index) so that
-Monte Carlo results never depend on scheduling, and coarse increments for
-convergence studies are defined as in-order sums of fine increments of the
-same path.
+Monte Carlo results never depend on scheduling.
 
 Every trajectory draws through `increments`, which streams a batch of
 paths window by window: a Monte Carlo chunk holds O(batch * K) noise
-whatever its step count, and every row is bit-identical to the matching
-`sample_block` row.
+whatever its step count, and row b of step n is the n-th K-draw of
+stream b scaled by sqrt(q * tau), whatever the window.  Convergence
+studies draw through `coupled_increments`, whose coarse increments are
+in-order sums of the fine increments of the same path.
 
 scipy.special is imported inside `covariance_tail`, whose one caller is the
 footer of `simulate`, so no other run loads it.
@@ -28,9 +28,8 @@ __all__ = [
     "power_covariance",
     "trace",
     "covariance_tail",
-    "sample_block",
     "increments",
-    "coupled_path",
+    "coupled_increments",
     "trace_operator",
 ]
 
@@ -101,14 +100,6 @@ class RngStream:
         return f"RngStream(seed={self.seed}, index={self.index}, counter={self.counter})"
 
 
-def sample_block(cov, tau, n_steps, rng):
-    """(n_steps, K) array of increments; row j equals the j-th sequential draw."""
-    if tau <= 0:
-        raise ValueError(f"step size must be positive, got {tau}")
-    xi = rng.normals((n_steps, cov.modes))
-    return np.sqrt(cov.q * tau) * xi
-
-
 # Normals per stream per window in `increments`: Philox `standard_normal`
 # reaches its bulk rate at about 4096 normals per call.
 _NORMALS_PER_DRAW = 4096
@@ -117,7 +108,7 @@ _NORMALS_PER_DRAW = 4096
 def increments(cov, tau, n_steps, streams):
     """Yield each step's (batch, K) increments, row b drawn from streams[b].
 
-    Row b of step n equals `sample_block(cov, tau, n_steps, streams[b])[n]`
+    Row b of step n is the n-th K-draw of streams[b] times sqrt(q * tau),
     bit for bit: each stream is drawn ceil(_NORMALS_PER_DRAW / K) steps at a
     time into one reused (window, batch, K) buffer.  The yielded array is a
     view of that buffer and is overwritten by the next window, so callers
@@ -136,32 +127,28 @@ def increments(cov, tau, n_steps, streams):
         yield from buf[:nw]
 
 
-def _check_dyadic(m):
-    if m < 1 or (m & (m - 1)) != 0:
-        raise ValueError(f"coarse multiple must be a power of two, got {m}")
+def coupled_increments(cov, tau, n_steps, streams, multiples):
+    """Yield each fine step's `increments` with the coarse increments it completes.
 
-
-def coupled_path(cov, tau_fine, n_fine, multiples, rng):
-    """Fine increments plus their in-order aggregates at each coarse multiple.
-
-    Returns {m: array of shape (n_fine//m, K)} where every coarse increment is
-    the left-to-right sum of its m constituent fine increments, bit for bit.
+    Yields (dw, done): dw is the fine (batch, K) increment and done lists
+    (level, coarse) for each multiples[level] that divides the steps taken
+    so far, coarse being the left-to-right sum from zero of that many fine
+    increments.  Each coarse array is a per-level accumulator, zeroed when
+    the generator resumes, so callers must not keep it (nor dw).
     """
     for m in multiples:
-        _check_dyadic(m)
-        if n_fine % m:
-            raise ValueError(f"multiple {m} does not divide {n_fine} fine steps")
-    fine = sample_block(cov, tau_fine, n_fine, rng)
-    out = {}
-    for m in multiples:
-        if m == 1:
-            out[m] = fine
-            continue
-        agg = np.zeros((n_fine // m, cov.modes))
-        for i in range(m):
-            agg += fine[i::m]
-        out[m] = agg
-    return out
+        if n_steps % m:
+            raise ValueError(f"multiple {m} does not divide {n_steps} fine steps")
+    accums = [np.zeros((len(streams), cov.modes)) for _ in multiples]
+    for k, dw in enumerate(increments(cov, tau, n_steps, streams), 1):
+        done = []
+        for level, (acc, m) in enumerate(zip(accums, multiples)):
+            acc += dw
+            if k % m == 0:
+                done.append((level, acc))
+        yield dw, done
+        for _, acc in done:
+            acc[:] = 0.0
 
 
 def trace_operator(cov, ops):

@@ -488,9 +488,9 @@ def run_trajectory(
     fem.initial_coefficients(ops, problem) and `noise_map` =
     fem.noise_projection_matrix(ops, noise modes) (sine increments to
     eigen-coefficients).  q_0 = sqrt(F(u_0)+delta0) exactly (zero initial
-    gap); the run aborts with BlowUpError once V exceeds `guard`.  The
-    increments are `noise.increments` of the one stream `rng`, so step n
-    uses row n of `sample_block(problem.noise, tau, n_steps, rng)`.
+    gap); the run aborts with BlowUpError once V exceeds `guard`.  Step n
+    uses the n-th increment that `noise.increments` draws from the one
+    stream `rng`.
     """
     if ops is None:
         ops = spectral_discretization(problem.u0.modes)

@@ -2,15 +2,15 @@
 
 Fields are stored as coefficient vectors in the orthonormal basis
 e_k(x) = sqrt(2)*sin(k*pi*x), k = 1..K, in which the negative Laplacian is
-diagonal with eigenvalues (k*pi)^2.  This module provides Sobolev norms,
-nodal transforms on uniform grids, and the per-mode propagator tables of the
-linear wave system: the exact cosine/sine operator pair and its Cayley
-(Crank-Nicolson) approximation.
+diagonal with eigenvalues (k*pi)^2.  This module provides the eigenvalues,
+the synthesis matrix onto uniform grids that `model.spectral_discretization`
+wraps, and the per-mode propagator tables of the linear wave system: the
+exact cosine/sine operator pair and its Cayley (Crank-Nicolson)
+approximation.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -19,22 +19,11 @@ import numpy as np
 __all__ = [
     "SpectralField",
     "WaveGroupTable",
-    "eigenvalue",
     "eigenvalues",
-    "sobolev_norm_sq",
     "wave_group_table",
     "cayley_group_table",
     "spectral_group_table",
-    "to_nodal",
-    "to_spectral",
 ]
-
-
-def eigenvalue(k):
-    """Dirichlet eigenvalue (k*pi)^2 of -d2/dx2 on (0,1) for mode k >= 1."""
-    if k < 1:
-        raise ValueError(f"mode index must be >= 1, got {k}")
-    return (k * np.pi) ** 2
 
 
 def eigenvalues(modes):
@@ -65,13 +54,6 @@ class SpectralField:
     @classmethod
     def zeros(cls, modes):
         return cls(np.zeros(modes))
-
-    @classmethod
-    def basis(cls, k, modes):
-        """The k-th basis element e_k as a field with `modes` coefficients."""
-        c = np.zeros(modes)
-        c[k - 1] = 1.0
-        return cls(c)
 
 
 # Round-off bound on cos^2 + sin^2 - 1 for both table builders, to first
@@ -171,14 +153,6 @@ def spectral_group_table(modes, tau):
     return wave_group_table(eigenvalues(modes), tau)
 
 
-def sobolev_norm_sq(f, r=0.0):
-    """Squared H^r norm, sum_k lam_k^r * coeff_k^2; r = 0 is Parseval."""
-    if r == 0:
-        return float(np.sum(f.coeffs**2))
-    lam = eigenvalues(f.modes)
-    return float(np.sum(lam**r * f.coeffs**2))
-
-
 @lru_cache(maxsize=32)
 def _synthesis_matrix(modes, grid_points):
     """(grid_points+1, modes) map from coefficients to nodal values on x_j = j/M.
@@ -192,34 +166,3 @@ def _synthesis_matrix(modes, grid_points):
     mat[-1, :] = 0.0
     mat.setflags(write=False)
     return mat
-
-
-def to_nodal(f, grid_points):
-    """Evaluate a field at the uniform nodes x_j = j/M, j = 0..M.
-
-    Warns if M < modes: the grid cannot separate all retained modes.
-    """
-    if grid_points < f.modes:
-        warnings.warn(
-            f"grid with {grid_points} intervals aliases a {f.modes}-mode field",
-            stacklevel=2,
-        )
-    return _synthesis_matrix(f.modes, grid_points) @ f.coeffs
-
-
-def to_spectral(values, modes=None):
-    """Sine coefficients of uniform-grid nodal values by the transform quadrature.
-
-    Exact for band-limited input with mode index <= M-1.  Endpoints must be
-    zero within 1e-12: the basis cannot represent anything else.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    grid_points = values.size - 1
-    if abs(values[0]) > 1e-12 or abs(values[-1]) > 1e-12:
-        raise ValueError("nodal values must vanish at both endpoints")
-    if modes is None:
-        modes = grid_points - 1
-    if modes > grid_points - 1:
-        raise ValueError(f"cannot resolve {modes} modes on {grid_points} intervals")
-    mat = _synthesis_matrix(modes, grid_points)
-    return SpectralField((values @ mat) / grid_points)

@@ -24,7 +24,7 @@ from savwave.harness import (
     strong_convergence,
 )
 from savwave.model import make_problem, sav_radicand, spectral_discretization
-from savwave.noise import RngStream, sample_block, trace as cov_trace
+from savwave.noise import RngStream, increments, trace as cov_trace
 from savwave.schemes import (
     Integrator,
     SavState,
@@ -66,7 +66,7 @@ def test_criterion_01_pathwise_energy_identity():
                     rng = RngStream(2026, combo)
                     combo += 1
                     for _ in range(steps):
-                        dw = np.stack([sample_block(problem.noise, tau, 1, rng)[0]
+                        dw = np.stack([next(increments(problem.noise, tau, 1, [rng]))[0]
                                        for _ in range(batch)])
                         u_hat = state.u if predictor == "identity" else 0.5 * (3 * state.u - u_prev)
                         u_prev = state.u
@@ -213,7 +213,7 @@ def test_criterion_07_fem_structure():
     for variant in ("exponential", "midpoint"):
         integ = Integrator(variant, 2.0**-7, problem, ops, state)
         for n in range(250):
-            dw = sample_block(problem.noise, 2.0**-7, 1, rng)[0] @ cmap.T
+            dw = next(increments(problem.noise, 2.0**-7, 1, [rng]))[0] @ cmap.T
             dw = np.tile(dw, (4, 1))
             diag = integ.step(dw, diagnostics=True)
             rel = float(np.max(np.abs(diag.energy_residual) / (1.0 + diag.V)))

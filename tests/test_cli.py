@@ -78,6 +78,11 @@ class TestConfig:
         ("noise.modes", "-3", "fem"),
         ("time.tau", "0", "spectral"),
         ("converge.tau_exps", "8 14", "spectral"),
+        ("time.T", "nan", "spectral"),
+        ("time.T", "inf", "fem"),
+        ("problem.sigma", "nan", "spectral"),
+        ("noise.decay", "nan", "spectral"),
+        ("noise.decay", "inf", "fem"),
     ])
     def test_unknown_scheme_names_are_config_errors(self, tmp_path, capsys, key, value, backend):
         path = write(tmp_path / "c.txt", f"space.backend = {backend}\n{key} = {value}\n"
@@ -143,6 +148,16 @@ class TestConverge:
         lines = (tmp_path / "out" / "converge.csv").read_text().splitlines()
         row = [l for l in lines if l.startswith("exponential")][0]
         assert float(row.split(",")[2]) == 0.0
+
+    def test_horizon_off_the_ladder_is_a_config_error(self, tmp_path, capsys):
+        # T = 3 * 2^-7 is one and a half steps of 2^-6: no error may be read off it
+        cfg = write(tmp_path / "c.txt", BASE.replace("time.T = 0.25", "time.T = 0.0234375")
+                    .replace("time.tau = 2^-5", "time.tau = 2^-7")
+                    .replace("converge.tau_exps = 4 5 6", "converge.tau_exps = 6 8")
+                    .replace("converge.ref_exp = 8", "converge.ref_exp = 9"))
+        assert main(["converge", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "time.T" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_footer_carries_slope_and_seed(self, tmp_path):
         cfg = write(tmp_path / "c.txt", BASE)

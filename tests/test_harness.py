@@ -74,9 +74,9 @@ class TestStrongConvergence:
 
     def test_chunk_steps_exactly_the_coupled_path_increments(self, monkeypatch):
         # Every increment handed to the reference and to each ladder level
-        # must be the fine draw, or the in-order sum of its fine draws, that
-        # noise.coupled_path defines for that path.  A 24-step noise window
-        # divides neither the 256 fine steps nor any ladder multiple.
+        # must be the path's fine draw, or the in-order sum from zero of its
+        # fine draws.  A 24-step noise window divides neither the 256 fine
+        # steps nor any ladder multiple.
         # Both schemes: the stacked task takes one increment per step for both.
         study = type(MINI)(**{**MINI.__dict__, "realizations": 6, "chunk": 3,
                               "schemes": ("exponential", "midpoint")})
@@ -98,11 +98,15 @@ class TestStrongConvergence:
                            noise_decay=study.noise_decay).noise
         assert sorted(seen) == sorted([tau_ref, *(2.0**-e for e in study.tau_exps)])
         for b in range(3):
-            paths = noise.coupled_path(cov, tau_ref, n_fine, [1, *multiples],
-                                       RngStream(study.seed, 3 + b))
-            assert np.array_equal(np.array(seen[tau_ref])[:, b], paths[1])
+            fine = (RngStream(study.seed, 3 + b).normals((n_fine, study.modes))
+                    * np.sqrt(cov.q * tau_ref))
+            assert np.array_equal(np.array(seen[tau_ref])[:, b], fine)
             for e, m in zip(study.tau_exps, multiples):
-                assert np.array_equal(np.array(seen[2.0**-e])[:, b], paths[m])
+                sums = np.zeros((n_fine // m, study.modes))
+                for j in range(n_fine // m):
+                    for i in range(m):
+                        sums[j] += fine[j * m + i]
+                assert np.array_equal(np.array(seen[2.0**-e])[:, b], sums)
 
     @pytest.mark.parametrize("norm", ["l2", "h"])
     @pytest.mark.parametrize("predictor", ["identity", "extrapolation"])
@@ -133,6 +137,14 @@ class TestStrongConvergence:
     def test_invalid_ladder_rejected(self):
         with pytest.raises(ValueError):
             ConvergenceStudy(tau_exps=(4,), ref_exp=3)
+
+    @pytest.mark.parametrize("T, tau_exps, ref_exp", [(0.3, (4, 5, 6), 9),
+                                                      (3 * 2.0**-7, (6, 8), 9)])
+    def test_horizon_off_the_ladder_rejected(self, T, tau_exps, ref_exp):
+        # every level must end at T: a ladder step that does not divide T
+        # would be compared with the reference at another time
+        with pytest.raises(ValueError, match="whole number of steps"):
+            ConvergenceStudy(T=T, tau_exps=tau_exps, ref_exp=ref_exp)
 
     def test_cross_scheme_reference_supported(self):
         study = type(MINI)(**{**MINI.__dict__, "schemes": ("midpoint",),
@@ -416,11 +428,34 @@ class TestSpatialRefinement:
         assert res.slope >= 0.6
 
 
+CHECK_NAMES = [
+    "spectral.trig_identity", "spectral.unitarity_drift", "spectral.group_composition",
+    "spectral.hoelder_cosine", "spectral.transform_roundtrip", "spectral.parseval_quadrature",
+    "noise.increment_variance", "noise.coupling_exact", "noise.replay_determinism",
+    "noise.lag1_autocorrelation", "model.gradient_consistency", "model.dealiasing",
+    "model.radicand_floor", "schemes.pathwise_energy", "schemes.deterministic_conservation",
+    "schemes.substitution_residual", "schemes.solvability", "schemes.onestep_increment_slope",
+    "schemes.moment_bound", "fem.pencil_residual", "fem.mass_orthonormal", "fem.trig_identity",
+    "fem.energy_conservation", "fem.pathwise_energy", "fem.substitution_residual",
+    "fem.ritz_is_interpolation", "fem.spectral_consistency", "harness.error_monotonic",
+    "harness.ci_honesty", "harness.determinism",
+]
+
+SEED = 20260810  # invariant_suite's default
+
+
+@pytest.fixture(scope="module")
+def default_suite():
+    return invariant_suite()
+
+
 class TestInvariantSuite:
-    def test_default_run_passes_everything(self):
-        results = invariant_suite()
-        failed = [r.name for r in results if not r.passed]
+    def test_default_run_passes_everything(self, default_suite):
+        failed = [r.name for r in default_suite if not r.passed]
         assert failed == []
+
+    def test_suite_runs_exactly_the_named_checks_in_order(self, default_suite):
+        assert [r.name for r in default_suite] == CHECK_NAMES
 
     def test_filter_selects_module_prefix(self):
         results = invariant_suite(name_filter="spectral")
@@ -437,6 +472,86 @@ class TestInvariantSuite:
         assert checks._check_fem_pencil(None, None).passed
         monkeypatch.setattr(checks.fem_mod, "assemble", perturbed)
         assert not checks._check_fem_pencil(None, None).passed
+
+    # Each re-pointed check against a mutant of the production function it
+    # runs: the check passes on the real one and fails on the mutant.
+
+    def _fails_under(self, monkeypatch, check, target, name, mutant):
+        rng = np.random.default_rng(SEED)
+        assert check(rng, SEED).passed
+        monkeypatch.setattr(target, name, mutant)
+        assert not check(np.random.default_rng(SEED), SEED).passed
+
+    def test_transform_roundtrip_sees_dropped_analysis_weights(self, monkeypatch):
+        build = checks.spectral_discretization
+
+        def unweighted(*args, **kwargs):
+            ops = build(*args, **kwargs)
+            return replace(ops, analysis=ops.synth.T)
+
+        self._fails_under(monkeypatch, checks._check_spectral_roundtrip,
+                          checks, "spectral_discretization", unweighted)
+
+    def test_parseval_quadrature_sees_synthesis_without_sqrt2(self, monkeypatch):
+        build = checks.spectral_discretization
+
+        def unscaled(*args, **kwargs):
+            ops = build(*args, **kwargs)
+            return replace(ops, synth=ops.synth / np.sqrt(2.0))
+
+        self._fails_under(monkeypatch, checks._check_spectral_parseval,
+                          checks, "spectral_discretization", unscaled)
+
+    def test_coupling_exact_sees_a_reversed_sum(self, monkeypatch):
+        def reversed_sum(cov, tau, n_steps, streams, multiples):
+            fine = []
+            for dw in noise.increments(cov, tau, n_steps, streams):
+                fine.append(dw.copy())
+                done = []
+                for level, m in enumerate(multiples):
+                    if len(fine) % m == 0:
+                        coarse = np.zeros_like(dw)
+                        for f in reversed(fine[-m:]):
+                            coarse += f
+                        done.append((level, coarse))
+                yield dw, done
+
+        self._fails_under(monkeypatch, checks._check_noise_coupling,
+                          noise, "coupled_increments", reversed_sum)
+
+    def test_coupling_exact_sees_an_accumulator_never_reset(self, monkeypatch):
+        def never_reset(cov, tau, n_steps, streams, multiples):
+            accums = [np.zeros((len(streams), cov.modes)) for _ in multiples]
+            for k, dw in enumerate(noise.increments(cov, tau, n_steps, streams), 1):
+                for acc in accums:
+                    acc += dw
+                yield dw, [(level, acc) for level, (acc, m) in enumerate(zip(accums, multiples))
+                           if k % m == 0]
+
+        self._fails_under(monkeypatch, checks._check_noise_coupling,
+                          noise, "coupled_increments", never_reset)
+
+    def test_increment_variance_sees_a_scale_without_tau(self, monkeypatch):
+        increments = noise.increments
+
+        def unit_step(cov, tau, n_steps, streams):
+            return increments(cov, 1.0, n_steps, streams)
+
+        self._fails_under(monkeypatch, checks._check_noise_variance,
+                          noise, "increments", unit_step)
+
+    def test_lag1_autocorrelation_sees_a_repeated_window_row(self, monkeypatch):
+        increments = noise.increments
+
+        def stale(cov, tau, n_steps, streams):
+            window = max(1, min(-(-noise._NORMALS_PER_DRAW // cov.modes), n_steps))
+            for k, dw in enumerate(increments(cov, tau, n_steps, streams)):
+                if k % window == 0:
+                    first = dw.copy()
+                yield first
+
+        self._fails_under(monkeypatch, checks._check_noise_autocorr,
+                          noise, "increments", stale)
 
     def test_dropping_balancing_term_fails_energy_checks(self):
         results = invariant_suite(mutations={"unbalanced_table"})

@@ -10,14 +10,28 @@ from savwave.model import spectral_discretization
 from savwave.noise import (
     CovarianceSpec,
     RngStream,
-    coupled_path,
+    coupled_increments,
     covariance_tail,
     increments,
     power_covariance,
-    sample_block,
     trace,
     trace_operator,
 )
+
+
+def drawn(cov, tau, n_steps, stream):
+    """(n_steps, K) increments of one stream; each yielded step is copied before the next."""
+    return np.array([dw[0].copy() for dw in increments(cov, tau, n_steps, [stream])])
+
+
+def coupled(cov, tau, n_steps, stream, multiples):
+    """(fine, {m: coarse}) of one stream: every fine step and the coarse increments per multiple."""
+    fine, coarse = [], {m: [] for m in multiples}
+    for dw, done in coupled_increments(cov, tau, n_steps, [stream], multiples):
+        fine.append(dw[0].copy())
+        for level, acc in done:
+            coarse[multiples[level]].append(acc[0].copy())
+    return np.array(fine), {m: np.array(c) for m, c in coarse.items()}
 
 
 class TestCovariance:
@@ -46,23 +60,23 @@ class TestCovariance:
 class TestSampling:
     def test_rejects_nonpositive_tau(self):
         with pytest.raises(ValueError):
-            sample_block(power_covariance(4), 0.0, 3, RngStream(1))
+            drawn(power_covariance(4), 0.0, 3, RngStream(1))
 
     def test_replay_is_bit_identical(self):
         cov = power_covariance(16)
-        a = sample_block(cov, 0.01, 50, RngStream(7, 3))
-        b = sample_block(cov, 0.01, 50, RngStream(7, 3))
+        a = drawn(cov, 0.01, 50, RngStream(7, 3))
+        b = drawn(cov, 0.01, 50, RngStream(7, 3))
         assert np.array_equal(a, b)
 
     def test_distinct_indices_differ(self):
         cov = power_covariance(16)
-        a = sample_block(cov, 0.01, 50, RngStream(7, 0))
-        b = sample_block(cov, 0.01, 50, RngStream(7, 1))
+        a = drawn(cov, 0.01, 50, RngStream(7, 0))
+        b = drawn(cov, 0.01, 50, RngStream(7, 1))
         assert not np.array_equal(a, b)
 
     def test_block_equals_sequential_draws(self):
         cov = power_covariance(8)
-        block = sample_block(cov, 0.25, 20, RngStream(5, 2))
+        block = drawn(cov, 0.25, 20, RngStream(5, 2))
         rng = RngStream(5, 2)
         rows = np.stack([np.sqrt(cov.q * 0.25) * rng.normals(8) for _ in range(20)])
         assert np.array_equal(block, rows)
@@ -72,19 +86,19 @@ class TestSampling:
         # chi-square: sd of the sample variance is q*tau*sqrt(2/(n-1))
         n = 100_000
         tau = 0.01
-        block = sample_block(CovarianceSpec(np.array([1.0, 0.25])), tau, n, RngStream(42, 0))
+        block = drawn(CovarianceSpec(np.array([1.0, 0.25])), tau, n, RngStream(42, 0))
         var = np.var(block[:, 0], ddof=1)
         assert abs(var - tau) <= 5 * tau * np.sqrt(2.0 / (n - 1))
 
     def test_small_tau_shrinks_variance(self):
         cov = CovarianceSpec(np.array([1.0]))
-        big = np.var(sample_block(cov, 1e-2, 4000, RngStream(3, 0)))
-        small = np.var(sample_block(cov, 1e-6, 4000, RngStream(3, 1)))
+        big = np.var(drawn(cov, 1e-2, 4000, RngStream(3, 0)))
+        small = np.var(drawn(cov, 1e-6, 4000, RngStream(3, 1)))
         assert small < big / 100
 
     def test_lag_one_autocorrelation_is_noise(self):
         n = 100_000
-        draws = sample_block(CovarianceSpec(np.array([1.0])), 1.0, n, RngStream(9, 0))[:, 0]
+        draws = drawn(CovarianceSpec(np.array([1.0])), 1.0, n, RngStream(9, 0))[:, 0]
         x = draws - draws.mean()
         r = np.sum(x[1:] * x[:-1]) / np.sum(x**2)
         assert abs(r) < 5.0 / np.sqrt(n)
@@ -93,34 +107,36 @@ class TestSampling:
 class TestCoupling:
     def test_multiple_one_is_the_fine_stream(self):
         cov = power_covariance(4)
-        paths = coupled_path(cov, 0.01, 8, [1], RngStream(1, 0))
-        ref = sample_block(cov, 0.01, 8, RngStream(1, 0))
-        assert np.array_equal(paths[1], ref)
+        fine, coarse = coupled(cov, 0.01, 8, RngStream(1, 0), [1])
+        ref = drawn(cov, 0.01, 8, RngStream(1, 0))
+        assert np.array_equal(fine, ref)
+        assert np.array_equal(coarse[1], ref)
 
     def test_two_level_telescoping_exact(self):
         cov = power_covariance(8)
-        paths = coupled_path(cov, 0.01, 32, [1, 2], RngStream(2, 0))
-        sums = paths[1][0::2] + paths[1][1::2]
-        assert np.array_equal(paths[2], sums)
+        fine, coarse = coupled(cov, 0.01, 32, RngStream(2, 0), [2])
+        sums = fine[0::2] + fine[1::2]
+        assert np.array_equal(coarse[2], sums)
 
-    @given(m=st.sampled_from([2, 4, 8, 16]), seed=st.integers(0, 2**20))
+    @given(m=st.sampled_from([2, 3, 4, 8, 16]), seed=st.integers(0, 2**20))
     @settings(max_examples=20, deadline=None)
     def test_aggregation_is_in_order_left_fold(self, m, seed):
+        # any multiple that divides the 48 steps, dyadic or not
         cov = power_covariance(4)
-        paths = coupled_path(cov, 0.5, 32, [1, m], RngStream(seed, 0))
-        fine = paths[1]
-        manual = np.zeros_like(paths[m])
-        for window in range(32 // m):
+        fine, coarse = coupled(cov, 0.5, 48, RngStream(seed, 0), [1, m])
+        assert np.array_equal(coarse[1], fine)
+        manual = np.zeros((48 // m, 4))
+        for window in range(48 // m):
             acc = np.zeros(4)
             for i in range(m):
                 acc += fine[window * m + i]
             manual[window] = acc
-        assert np.array_equal(paths[m], manual)
+        assert np.array_equal(coarse[m], manual)
 
     def test_aggregated_variance_matches_coarse_step(self):
         cov = CovarianceSpec(np.array([1.0, 0.5]))
         tau_fine = 0.005
-        paths = coupled_path(cov, tau_fine, 200_000, [4], RngStream(11, 0))
+        _, paths = coupled(cov, tau_fine, 200_000, RngStream(11, 0), [4])
         coarse = paths[4]
         n = coarse.shape[0]
         for k in (0, 1):
@@ -128,13 +144,9 @@ class TestCoupling:
             sd = target * np.sqrt(2.0 / (n - 1))
             assert abs(np.var(coarse[:, k], ddof=1) - target) <= 5 * sd
 
-    def test_non_dyadic_rejected(self):
-        with pytest.raises(ValueError):
-            coupled_path(power_covariance(4), 0.01, 12, [3], RngStream(0))
-
     def test_non_dividing_rejected(self):
         with pytest.raises(ValueError):
-            coupled_path(power_covariance(4), 0.01, 10, [4], RngStream(0))
+            next(coupled_increments(power_covariance(4), 0.01, 10, [RngStream(0)], [4]))
 
 
 class TestIncrements:
@@ -149,7 +161,7 @@ class TestIncrements:
         assert len(steps) == n_steps
         for b, stream in enumerate(streams):
             oracle = RngStream(17, b)
-            block = sample_block(cov, 0.03, n_steps, oracle)
+            block = oracle.normals((n_steps, cov.modes)) * np.sqrt(cov.q * 0.03)
             rows = np.array([dw[b] for dw in steps])
             assert np.array_equal(rows, block)
             assert stream.counter == oracle.counter

@@ -11,7 +11,7 @@ from savwave.model import (
     sav_radicand,
     spectral_discretization,
 )
-from savwave.noise import RngStream, power_covariance, sample_block
+from savwave.noise import RngStream, increments, power_covariance
 from savwave.schemes import (
     BlowUpError,
     Integrator,
@@ -201,7 +201,7 @@ class TestPathwiseEnergyIdentity:
         u_prev = state.u
         rng = RngStream(31, 0)
         for n in range(125):
-            dw = sample_block(problem.noise, tau, 1, rng)[0]
+            dw = next(increments(problem.noise, tau, 1, [rng]))[0]
             dw = np.tile(dw, (batch, 1)) * (1 + 0.1 * np.arange(batch)[:, None])
             u_hat = state.u if predictor == "identity" else 0.5 * (3 * state.u - u_prev)
             u_prev = state.u
@@ -254,7 +254,7 @@ class TestPathwiseEnergyIdentity:
         rng = RngStream(77, 0)
         worst = 0.0
         for _ in range(20):
-            dw = sample_block(problem.noise, tau, 1, rng)[0]
+            dw = next(increments(problem.noise, tau, 1, [rng]))[0]
             state, diag = step_exponential_sav(state, dw, table, problem, ops)
             worst = max(worst, float(np.abs(diag.energy_residual) / (1 + diag.V)))
         assert worst > 1e-7
@@ -351,7 +351,7 @@ class TestRunTrajectory:
                            "extrapolation")
         rng = RngStream(5, 0)
         for record in records[1:]:
-            diag = integ.step(cmap @ sample_block(problem.noise, tau, 1, rng)[0],
+            diag = integ.step(cmap @ next(increments(problem.noise, tau, 1, [rng]))[0],
                               diagnostics=True)
             assert record.V == float(diag.V) and record.q == float(diag.q)
             assert abs(record.energy_residual) <= 1e-9 * (1.0 + record.V)
@@ -385,7 +385,7 @@ class TestIntegrator:
         integ = Integrator(scheme, tau, problem, ops, initial_state(problem, ops),
                            "extrapolation")
         rng = RngStream(6, 0)
-        dws = sample_block(problem.noise, tau, 2, rng)
+        dws = [dw[0].copy() for dw in increments(problem.noise, tau, 2, [rng])]
         integ.step(dws[0])
         prev, state = integ.u_prev, integ.state
         integ.step(dws[1])

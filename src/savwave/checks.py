@@ -142,6 +142,17 @@ def _check_spectral_parseval(rng, _):
     return _result("spectral.parseval_quadrature", err, 5.0 / m**2)
 
 
+def _path_increments(cov, tau, n_steps, seed, key, batch):
+    """`noise.increments` of `batch` paths as a study draws them: row b from its own stream.
+
+    Row b is drawn from RngStream(seed, 64 * key + b), so draws with
+    different keys share no stream for batches of up to 64 paths.
+    """
+    from .noise import increments
+
+    return increments(cov, tau, n_steps, [RngStream(seed, 64 * key + b) for b in range(batch)])
+
+
 def _drawn(cov, tau, n_steps, stream):
     """(n_steps, K) increments of one stream as `noise.increments` yields them."""
     from .noise import increments
@@ -240,11 +251,9 @@ def _check_model_floor(_, seed):
     ops = spectral_discretization(32)
     integ = Integrator("exponential", 2.0**-6, problem, ops,
                        _batched_initial(problem, ops, 4))
-    stream = RngStream(seed, 21)
-    scale = np.sqrt(problem.noise.q * 2.0**-6)
     lowest = np.inf
-    for _ in range(64):
-        integ.step(stream.normals((4, 32)) * scale)
+    for dw in _path_increments(problem.noise, 2.0**-6, 64, seed, 21, 4):
+        integ.step(dw)
         rad = sav_radicand(integ.state.u, problem, ops)
         lowest = min(lowest, float(np.min(rad)))
     value = RADICAND_FLOOR / lowest  # passes iff lowest >= floor
@@ -273,10 +282,7 @@ def _pathwise_energy_worst(mutations, seed, fem=False):
         if "unbalanced_table" in mutations:
             # a2 = tau in place of sin/sqrt(lam): the energy law needs a2 = sin/sqrt(lam)
             integ.table = replace(integ.table, a2=np.full_like(integ.table.a2, tau))
-        stream = RngStream(seed, 100 + i)
-        scale = np.sqrt(problem.noise.q * tau)
-        for _ in range(steps):
-            dw = stream.normals((batch, problem.noise.modes)) * scale
+        for dw in _path_increments(problem.noise, tau, steps, seed, 100 + i, batch):
             if cmap is not None:
                 dw = dw @ cmap.T
             diag = integ.step(dw, diagnostics=True)
@@ -347,10 +353,8 @@ def _check_schemes_solvability(_, seed):
     smallest = np.inf
     for scheme in SCHEMES:
         integ = Integrator(scheme, 2.0**-6, problem, ops, _batched_initial(problem, ops, 8))
-        stream = RngStream(seed, 31)
-        scale = np.sqrt(problem.noise.q * 2.0**-6)
-        for _ in range(64):
-            diag = integ.step(stream.normals((8, 32)) * scale, diagnostics=True)
+        for dw in _path_increments(problem.noise, 2.0**-6, 64, seed, 31, 8):
+            diag = integ.step(dw, diagnostics=True)
             smallest = min(smallest, float(np.min(diag.denominator)))
     # passes iff the smallest denominator stays >= 1
     return _result("schemes.solvability", 1.0 - smallest, 0.0,
@@ -366,13 +370,11 @@ def _check_schemes_onestep(_, seed):
     for i, tau in enumerate(taus):
         integ = Integrator("exponential", tau, problem, ops,
                            _batched_initial(problem, ops, batch))
-        stream = RngStream(seed, 50 + i)
-        scale = np.sqrt(problem.noise.q * tau)
         n_steps = round(0.25 / tau)
         total = 0.0
-        for _ in range(n_steps):
+        for dw in _path_increments(problem.noise, tau, n_steps, seed, 50 + i, batch):
             prev_u = integ.state.u
-            integ.step(stream.normals((batch, 32)) * scale)
+            integ.step(dw)
             du = integ.state.u - prev_u
             total += float(np.mean(np.sqrt(np.einsum("bk,bk->b", du, du))))
         means.append(total / n_steps)
@@ -388,12 +390,10 @@ def _check_schemes_moments(_, seed):
         problem = make_problem(f=fname, g="sine", modes=64)
         integ = Integrator("exponential", 2.0**-6, problem, ops,
                            _batched_initial(problem, ops, batch))
-        stream = RngStream(seed, 61 + i)
-        scale = np.sqrt(problem.noise.q * 2.0**-6)
         v2_0 = float(np.mean(integ.energy() ** 2))
         worst = v2_0
-        for _ in range(64):
-            integ.step(stream.normals((batch, 64)) * scale)
+        for dw in _path_increments(problem.noise, 2.0**-6, 64, seed, 61 + i, batch):
+            integ.step(dw)
             worst = max(worst, float(np.mean(integ.energy() ** 2)))
         worst_ratio = max(worst_ratio, worst / v2_0)
     return _result("schemes.moment_bound", worst_ratio, 10.0,

@@ -94,6 +94,8 @@ class RunConfig:
                            ("noise.decay", self.noise_decay)):
             if not np.isfinite(value):
                 raise ConfigError(f"invalid value for {key}: {value}")
+        if not self.T > 0:
+            raise ConfigError(f"invalid value for time.T: {self.T}")
         if self.f not in DRIFTS:
             raise ConfigError(f"invalid value for problem.f: {self.f}")
         if self.g not in DIFFUSIONS:

@@ -80,6 +80,8 @@ class TestConfig:
         ("converge.tau_exps", "8 14", "spectral"),
         ("time.T", "nan", "spectral"),
         ("time.T", "inf", "fem"),
+        ("time.T", "0", "spectral"),  # would write zero errors and a nan slope
+        ("time.T", "-1", "spectral"),  # was reported as a bad time.tau
         ("problem.sigma", "nan", "spectral"),
         ("noise.decay", "nan", "spectral"),
         ("noise.decay", "inf", "fem"),

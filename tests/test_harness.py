@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from savwave import checks, harness, noise, schemes
+from savwave import checks, fem, harness, noise, schemes
 from savwave.checks import invariant_suite
 from savwave.harness import (
     AuxGapStudy,
@@ -25,7 +25,7 @@ from savwave.harness import (
     spatial_refinement,
     strong_convergence,
 )
-from savwave.model import make_problem, spectral_discretization
+from savwave.model import make_problem, spectral_discretization, uniform_grid
 from savwave.noise import RngStream, power_covariance, trace_operator
 
 MINI = ConvergenceStudy(
@@ -180,7 +180,7 @@ class TestEnergyEvolution:
         assert np.all(dev[1:] <= 4.0 * np.maximum(res.stderr_V[1:], 1e-12))
 
     def test_chunk_memory_does_not_grow_with_steps(self):
-        # Noise is streamed through one window of ceil(4096/K) = 64 steps, so
+        # Noise is streamed through one window of ceil(2048/K) = 32 steps, so
         # 4x the steps must not raise the traced peak, and the peak stays
         # below 128 (batch, K) float arrays: the window, the state and the
         # step temporaries, and the K x K setup.
@@ -427,6 +427,53 @@ class TestSpatialRefinement:
         assert np.all(np.diff(res.rms_error) < 0)
         assert res.slope >= 0.6
 
+    @pytest.mark.parametrize("fine_grid", [1000, 200])  # not a multiple of a block; under one
+    def test_blocked_reference_keeps_the_whole_grid_bits(self, monkeypatch, fine_grid):
+        # Oracle: the reference synthesized by one (fine_grid + 1, ref_modes)
+        # sine matrix, from the terminal states the chunk stepped.  At 8 rows
+        # every block's product, like the whole grid's, has over 1200 outputs.
+        runs = []
+
+        def recording(*args, **kwargs):
+            runs.append(schemes.Integrator(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(harness, "Integrator", recording)
+        study = SpatialStudy(f="sine", g="sine", ref_modes=128, h_exps=(3, 4), T=2.0**-4,
+                             tau=2.0**-6, realizations=8, seed=5, chunk=8, fine_grid=fine_grid)
+        got, = harness._spatial_chunk(study, 0)
+        ref, *fem_runs = runs
+        fine = uniform_grid(fine_grid)
+        k = np.arange(1, study.ref_modes + 1)
+        ref_vals = ref.state.u @ (np.sqrt(2.0) * np.sin(np.pi * np.outer(fine.x, k))).T
+        expected = np.empty_like(got)
+        for i, (e, run) in enumerate(zip(study.h_exps, fem_runs)):
+            ops = fem.assemble(2**e)
+            vals = run.state.u @ ops.synth.T @ fem.linear_interp_matrix(ops.x, fine.x).T
+            expected[i] = np.einsum("bm,m->b", (ref_vals - vals) ** 2, fine.weights)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_terminal_memory_scales_with_rows_not_modes(self):
+        # A 4x finer grid may add only arrays that scale with it: the (rows,
+        # fine_grid + 1) terminal values and their differences, and two
+        # (fine_grid + 1, E + 1) interpolation matrices with their index
+        # vectors; never a (fine_grid + 1, ref_modes) sine matrix.
+        rows, h_exps = 4, (2, 3)
+        studies = [SpatialStudy(f="sine", g="sine", ref_modes=128, h_exps=h_exps, T=2.0**-4,
+                                tau=2.0**-6, realizations=rows, chunk=rows, fine_grid=fine_grid)
+                   for fine_grid in (2048, 8192)]
+        harness._spatial_chunk(studies[0], 0)  # one-time imports stay off the trace
+        peaks = []
+        for study in studies:
+            tracemalloc.start()
+            try:
+                harness._spatial_chunk(study, 0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        per_point = 8 * (4 * rows + 2 * (2 ** max(h_exps) + 1) + 8)
+        assert peaks[1] - peaks[0] <= (8192 - 2048) * per_point
+
 
 CHECK_NAMES = [
     "spectral.trig_identity", "spectral.unitarity_drift", "spectral.group_composition",
@@ -552,6 +599,25 @@ class TestInvariantSuite:
 
         self._fails_under(monkeypatch, checks._check_noise_autocorr,
                           noise, "increments", stale)
+
+    @pytest.mark.parametrize("check", [
+        checks._check_model_floor, checks._check_schemes_pathwise,
+        checks._check_schemes_solvability, checks._check_schemes_onestep,
+        checks._check_schemes_moments, checks._check_fem_pathwise,
+    ])
+    def test_stepping_checks_draw_one_stream_per_path(self, monkeypatch, check):
+        increments = noise.increments
+        batches = []
+
+        def recording(cov, tau, n_steps, streams):
+            batches.append([s.index for s in streams])
+            return increments(cov, tau, n_steps, streams)
+
+        monkeypatch.setattr(noise, "increments", recording)
+        assert check(np.random.default_rng(SEED), SEED).passed
+        assert batches
+        for indices in batches:
+            assert len(indices) > 1 and len(set(indices)) == len(indices)
 
     def test_dropping_balancing_term_fails_energy_checks(self):
         results = invariant_suite(mutations={"unbalanced_table"})

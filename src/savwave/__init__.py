@@ -19,13 +19,11 @@ from .noise import (
 from .schemes import (
     BlowUpError,
     Integrator,
-    RunRecord,
     SavState,
     StepDiagnostics,
     initial_state,
     modified_energy,
     pathwise_energy_residual,
-    run_trajectory,
     step_exponential_sav,
     step_midpoint_sav,
     substitution_residual,

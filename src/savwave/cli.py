@@ -19,10 +19,16 @@ import numpy as np
 
 from . import fem as fem_mod
 from .checks import invariant_suite
-from .harness import ConvergenceStudy, EnergyStudy, energy_evolution, strong_convergence
-from .model import DIFFUSIONS, DRIFTS, ModelViolationError, make_problem
-from .noise import RngStream, covariance_tail, power_covariance
-from .schemes import PREDICTORS, SCHEMES, BlowUpError, run_trajectory
+from .harness import (
+    ConvergenceStudy,
+    EnergyStudy,
+    _batched_initial,
+    energy_evolution,
+    strong_convergence,
+)
+from .model import DIFFUSIONS, DRIFTS, ModelViolationError, make_problem, spectral_discretization
+from .noise import RngStream, covariance_tail, increments, power_covariance, trace_operator
+from .schemes import ENERGY_GUARD, PREDICTORS, SCHEMES, BlowUpError, Integrator
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "main"]
 
@@ -111,6 +117,9 @@ class RunConfig:
                               f"(no step may be finer than converge.ref_exp = {self.ref_exp})")
         if self.modes < 1:
             raise ConfigError(f"invalid value for space.modes: {self.modes}")
+        if self.backend == "spectral" and self.noise_modes > self.modes:
+            raise ConfigError(f"invalid value for noise.modes: {self.noise_modes} "
+                              f"(more than space.modes = {self.modes})")
         if self.elements < 2:
             raise ConfigError(f"invalid value for space.elements: {self.elements}")
         if self.backend not in ("spectral", "fem"):
@@ -278,8 +287,19 @@ def svg_plot(series, title="", xlabel="", ylabel="", loglog=False, annotations=(
 # Commands.
 
 
+# Per-step values of the `simulate` path; all but trace_term are CSV columns.
+_TRAJECTORY_FIELDS = ("V", "V1", "q", "aux_gap", "energy_residual", "trace_term")
+
+
 def _trajectory(config):
-    """(problem, run_trajectory records) of the one path `simulate` writes."""
+    """(problem, columns) of the one path `simulate` writes, stepped as a batch of one.
+
+    `columns` maps "step", "time" and each of _TRAJECTORY_FIELDS to its values
+    at steps 0..n.  Every increment goes through one (noise modes, K) map: the
+    sine-to-eigen noise projection on the element mesh, an exact zero pad on
+    the sine backend.  The path aborts with BlowUpError once
+    Integrator.sanitize excludes it.
+    """
     fem = config.backend == "fem"
     noise_modes = config.noise_modes or (config.elements if fem else config.modes)
     problem = make_problem(
@@ -287,31 +307,48 @@ def _trajectory(config):
         modes=noise_modes if fem else config.modes,
         noise=power_covariance(noise_modes, config.noise_decay),
     )
-    run = dict(scheme=config.variant, predictor=config.predictor, tau=config.tau,
-               n_steps=config.steps(), rng=RngStream(config.seed, 0))
-    if not fem:
-        return problem, run_trajectory(problem, **run)
-    ops = fem_mod.assemble(config.elements)
-    return problem, run_trajectory(
-        problem, ops=ops, initial=fem_mod.initial_coefficients(ops, problem),
-        noise_map=fem_mod.noise_projection_matrix(ops, noise_modes), **run,
-    )
+    if fem:
+        ops = fem_mod.assemble(config.elements)
+        initial = fem_mod.initial_coefficients(ops, problem)
+        cmap_t = fem_mod.noise_projection_matrix(ops, noise_modes).T
+    else:
+        ops = spectral_discretization(config.modes)
+        initial = None
+        cmap_t = np.eye(noise_modes, config.modes)
+    trace_fn = trace_operator(problem.noise, ops)
+    integ = Integrator(config.variant, config.tau, problem, ops,
+                       _batched_initial(problem, ops, 1, initial), config.predictor,
+                       trace_fn=trace_fn)
+    n_steps = config.steps()
+    rows = np.empty((n_steps + 1, len(_TRAJECTORY_FIELDS)))
+    s, v0 = integ.state, integ.energy()
+    rows[0] = np.concatenate([v0, v0 - s.q**2 + (s.rad - problem.delta0), s.q, [0.0, 0.0],
+                              trace_fn(problem.g(s.vals))])
+    streams = [RngStream(config.seed, 0)]
+    for n, dw in enumerate(increments(problem.noise, config.tau, n_steps, streams), 1):
+        diag = integ.step(dw @ cmap_t, diagnostics=True)
+        if integ.sanitize(np.zeros(1, dtype=bool))[0]:
+            raise BlowUpError(
+                f"modified energy {diag.V[0]:.3e} exceeded {ENERGY_GUARD:.1e} at step {n}")
+        rows[n] = np.concatenate([getattr(diag, name) for name in _TRAJECTORY_FIELDS])
+    steps = np.arange(n_steps + 1)
+    return problem, dict(zip(_TRAJECTORY_FIELDS, rows.T), step=steps, time=steps * config.tau)
 
 
 def cmd_simulate(config, out_dir, svg=False):
-    out_dir.mkdir(parents=True, exist_ok=True)
-    problem, records = _trajectory(config)
-    rows = [(r.step, r.time, r.V, r.V1, r.q, r.aux_gap, r.energy_residual) for r in records]
+    problem, columns = _trajectory(config)
+    header = ["step", "time", *_TRAJECTORY_FIELDS[:-1]]
+    rows = zip(*(columns[name] for name in header))
     tail = covariance_tail(problem.noise)
     footer = [f"seed={config.seed}", f"scheme={config.variant}", f"backend={config.backend}"]
     if tail is not None:
         footer.append(f"noise_tail={_fmt(tail)}")
+    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "simulate.csv"
-    write_csv(path, ["step", "time", "V", "V1", "q", "aux_gap", "energy_residual"], rows, footer)
+    write_csv(path, header, rows, footer)
     if svg:
-        times = [r.time for r in records]
         sv = svg_plot(
-            [("V", times, [r.V for r in records]), ("V1", times, [r.V1 for r in records])],
+            [("V", columns["time"], columns["V"]), ("V1", columns["time"], columns["V1"])],
             title="trajectory energies", xlabel="t", ylabel="energy",
         )
         (out_dir / "simulate.svg").write_text(sv)

@@ -284,7 +284,7 @@ def sav_radicand(coeffs, problem, ops):
     return radicand(problem.Ftilde(ops.nodal(coeffs)), problem, ops)
 
 
-# drift_core, diffusion_values and apply_g_core are the unfused step
+# drift_core and apply_g_core are the unfused step
 # ingredients: the steppers compute them jointly (schemes._step_inputs), and
 # schemes.substitution_residual recomputes them one by one as its oracle.
 # bench/microgrid.py times drift_core on its own.
@@ -298,11 +298,6 @@ def drift_core(u_hat, problem, ops):
     return b, s
 
 
-def diffusion_values(u, problem, ops):
-    """Nodal values of g(u)."""
-    return problem.g(ops.nodal(u))
-
-
 def apply_g_core(u, dw, problem, ops):
     """Project the nodal product g(u)*dW back to coefficient space."""
-    return ops.project(diffusion_values(u, problem, ops) * ops.nodal(dw))
+    return ops.project(problem.g(ops.nodal(u)) * ops.nodal(dw))

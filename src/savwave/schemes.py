@@ -18,9 +18,9 @@ expectations.  All state arrays have shape (..., K); leading axes batch
 independent realizations through identical arithmetic.
 
 `Integrator` is the one trajectory engine: it alone maps a scheme name to its
-propagator table, and it holds the predictor memory.  Every
-driver (`run_trajectory`, the `simulate` command on either backend, the Monte
-Carlo studies and the invariant checks) steps through it.
+propagator table, and it holds the predictor memory and the blow-up guard
+(`sanitize`).  Every driver (the `simulate` command, a batch of one on either
+backend; the Monte Carlo studies; the invariant checks) steps through it.
 """
 
 from __future__ import annotations
@@ -29,14 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import (
-    apply_g_core,
-    diffusion_values,
-    drift_core,
-    radicand,
-    spectral_discretization,
-)
-from .noise import increments, trace_operator
+from .model import apply_g_core, drift_core, radicand
 from .spectral import WaveGroupTable, cayley_group_table, wave_group_table
 
 __all__ = [
@@ -44,7 +37,6 @@ __all__ = [
     "ENERGY_GUARD",
     "SavState",
     "StepDiagnostics",
-    "RunRecord",
     "Integrator",
     "PREDICTORS",
     "SCHEMES",
@@ -55,16 +47,15 @@ __all__ = [
     "step_exponential_sav",
     "step_midpoint_sav",
     "substitution_residual",
-    "run_trajectory",
 ]
 
 PREDICTORS = ("identity", "extrapolation")
 # Scheme name -> builder of its propagator table from (lam, tau).
 SCHEMES = {"exponential": wave_group_table, "midpoint": cayley_group_table}
 
-# Modified energy beyond which a path counts as blown up: run_trajectory
-# aborts, Monte Carlo studies park the path.  The value itself is arbitrary
-# plumbing.
+# Modified energy beyond which a path counts as blown up (Integrator.sanitize):
+# the convergence study parks the path, `simulate` aborts.  The value itself
+# is arbitrary plumbing.
 ENERGY_GUARD = 1e12
 # A batch whose summed modified energy is at most this is healthy (see
 # SavState.energy_sum).
@@ -131,20 +122,6 @@ class StepDiagnostics:
     energy_residual: np.ndarray
     trace_term: np.ndarray
     denominator: np.ndarray
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    """Per-step trajectory record emitted by run_trajectory."""
-
-    step: int
-    time: float
-    V: float
-    V1: float
-    q: float
-    aux_gap: float
-    energy_residual: float
-    trace_term: float
 
 
 def _dot(a, b):
@@ -467,61 +444,3 @@ class Integrator:
             self.u_prev = np.where(keep, self.u_prev, 0.0)
         return excluded
 
-
-def run_trajectory(
-    problem,
-    scheme="exponential",
-    predictor="identity",
-    tau=2.0**-7,
-    n_steps=128,
-    rng=None,
-    ops=None,
-    guard=ENERGY_GUARD,
-    initial=None,
-    noise_map=None,
-):
-    """Integrate one path and return a RunRecord per step, initial state included.
-
-    Spectral by default: sine `ops` of u0's modes, initial coefficients
-    (u0, v0), sine noise zero-padded to the spatial modes.  A finite element
-    run passes `ops` = fem.assemble(elements), `initial` =
-    fem.initial_coefficients(ops, problem) and `noise_map` =
-    fem.noise_projection_matrix(ops, noise modes) (sine increments to
-    eigen-coefficients).  q_0 = sqrt(F(u_0)+delta0) exactly (zero initial
-    gap); the run aborts with BlowUpError once V exceeds `guard`.  Step n
-    uses the n-th increment that `noise.increments` draws from the one
-    stream `rng`.
-    """
-    if ops is None:
-        ops = spectral_discretization(problem.u0.modes)
-    if noise_map is None and problem.noise.modes > ops.modes:
-        raise ValueError("noise carries more modes than the spatial truncation")
-    if initial is None:
-        initial = (problem.u0.coeffs.copy(), problem.v0.coeffs.copy())
-    trace_fn = trace_operator(problem.noise, ops)
-    state = initial_state(*initial, problem, ops)
-    integ = Integrator(scheme, tau, problem, ops, state, predictor, trace_fn=trace_fn)
-
-    # Elementwise sums, not modified_energy's einsum: on a finite element u0
-    # they differ in the last bit, and the simulate CSVs carry this form.
-    v_mod = float(0.5 * np.sum(ops.lam * state.u**2) + 0.5 * np.sum(state.v**2) + state.q**2)
-    records = [RunRecord(
-        step=0, time=0.0, V=v_mod,
-        V1=v_mod - float(state.q**2) + float(state.rad - problem.delta0),
-        q=float(state.q), aux_gap=0.0, energy_residual=0.0,
-        trace_term=float(trace_fn(diffusion_values(state.u, problem, ops))),
-    )]
-    for n, (dw,) in enumerate(increments(problem.noise, tau, n_steps, [rng])):
-        if noise_map is not None:
-            dw = noise_map @ dw
-        elif problem.noise.modes < ops.modes:
-            dw = np.concatenate([dw, np.zeros(ops.modes - problem.noise.modes)])
-        diag = integ.step(dw, diagnostics=True)
-        if diag.V > guard:
-            raise BlowUpError(f"modified energy {diag.V:.3e} exceeded {guard:.1e} at step {n + 1}")
-        records.append(RunRecord(
-            step=n + 1, time=(n + 1) * tau, V=float(diag.V), V1=float(diag.V1),
-            q=float(diag.q), aux_gap=float(diag.aux_gap),
-            energy_residual=float(diag.energy_residual), trace_term=float(diag.trace_term),
-        ))
-    return records

@@ -1,9 +1,15 @@
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from savwave.cli import ConfigError, RunConfig, load_config, main, svg_plot
+from savwave import fem
+from savwave.cli import ConfigError, RunConfig, _trajectory, load_config, main, svg_plot
+from savwave.harness import _batched_initial
+from savwave.model import spectral_discretization
+from savwave.noise import RngStream, increments
+from savwave.schemes import Integrator
 
 
 def write(path, text):
@@ -76,6 +82,7 @@ class TestConfig:
         ("converge.reference", "rk4", "spectral"),
         ("problem.delta0", "0", "spectral"),
         ("noise.modes", "-3", "fem"),
+        ("noise.modes", "65", "spectral"),  # more than the default 64 space.modes
         ("time.tau", "0", "spectral"),
         ("converge.tau_exps", "8 14", "spectral"),
         ("time.T", "nan", "spectral"),
@@ -140,6 +147,84 @@ class TestSimulate:
                     f"output.dir = {tmp_path / 'out'}\n")
         assert main(["simulate", "--config", cfg]) == 3
         assert "numerical abort" in capsys.readouterr().err
+
+    def test_blow_up_exits_3_and_writes_nothing(self, tmp_path, capsys):
+        # sigma = 1e7 puts V near 1.7e12 after one step, above the energy guard
+        cfg = write(tmp_path / "c.txt",
+                    "problem.g = constant\nproblem.sigma = 1e7\nspace.modes = 8\n"
+                    "time.T = 0.125\ntime.tau = 2^-5\n"
+                    f"output.dir = {tmp_path / 'out'}\n")
+        assert main(["simulate", "--config", cfg]) == 3
+        assert "numerical abort" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+class TestTrajectory:
+    """The one path of `simulate`, stepped as a batch of one."""
+
+    def test_zero_steps_give_the_initial_row_only(self):
+        _, columns = _trajectory(RunConfig(modes=16, T=0.0, tau=0.1))
+        assert all(values.shape == (1,) for values in columns.values())
+        assert columns["step"][0] == 0 and columns["aux_gap"][0] == 0.0
+
+    def test_conservative_single_mode_energy_constant(self):
+        config = RunConfig(f="linear", g="zero", modes=1, variant="midpoint",
+                           T=10_000 * 2.0**-6, tau=2.0**-6, seed=2)
+        v = _trajectory(config)[1]["V"]
+        assert v.size == 10_001
+        assert np.max(np.abs(v - v[0])) / v[0] <= 1e-10
+
+    def test_rows_carry_monotone_time_and_finite_diagnostics(self):
+        config = RunConfig(f="cubic", g="sine", modes=16, variant="midpoint",
+                           T=0.5, tau=2.0**-7, seed=8)
+        _, columns = _trajectory(config)
+        assert np.all(np.diff(columns["time"]) > 0)
+        for name in ("V", "V1", "q", "aux_gap", "energy_residual", "trace_term"):
+            assert np.all(np.isfinite(columns[name])), name
+
+    def test_matched_discretization_gap_is_initialization_only(self):
+        # V - V1 = q^2 - F(u) stays within O(tau) of its initial value delta0
+        tau = 2.0**-7
+        diffs = np.zeros(33)
+        paths = 4
+        for seed in range(40, 40 + paths):
+            _, columns = _trajectory(RunConfig(modes=32, T=32 * tau, tau=tau, seed=seed))
+            diffs += (columns["V"] - columns["V1"]) / paths
+        assert abs(diffs[0] - 1.0) <= 1e-12
+        assert np.max(np.abs(diffs - diffs[0])) <= 20 * tau
+
+    def test_extrapolation_predictor_changes_the_path(self):
+        config = RunConfig(f="cubic", g="sine", modes=16, T=0.5, tau=2.0**-5, seed=12)
+        a = _trajectory(config)[1]["V"]
+        b = _trajectory(replace(config, predictor="extrapolation"))[1]["V"]
+        assert a[-1] != b[-1]
+
+    def test_spectral_noise_is_zero_padded_to_the_modes(self):
+        config = RunConfig(f="cubic", modes=16, noise_modes=8, T=2.0**-3, tau=2.0**-6, seed=3)
+        problem, columns = _trajectory(config)
+        ops = spectral_discretization(16)
+        integ = Integrator("exponential", config.tau, problem, ops,
+                           _batched_initial(problem, ops, 1))
+        for n, dw in enumerate(increments(problem.noise, config.tau, 8, [RngStream(3, 0)]), 1):
+            diag = integ.step(np.concatenate([dw, np.zeros((1, 8))], axis=1), diagnostics=True)
+            assert columns["V"][n] == diag.V[0] and columns["q"][n] == diag.q[0]
+
+    @pytest.mark.parametrize("scheme", ["exponential", "midpoint"])
+    def test_fem_row_n_is_the_integrator_step_on_the_mapped_noise(self, scheme):
+        # 16 sine noise modes on a 16-element mesh, which has 15 eigenmodes:
+        # the increments are mapped, not padded
+        config = RunConfig(backend="fem", elements=16, variant=scheme, predictor="extrapolation",
+                           T=2.0**-3, tau=2.0**-6, seed=5)
+        problem, columns = _trajectory(config)
+        ops = fem.assemble(16)
+        cmap = fem.noise_projection_matrix(ops, 16)
+        u0, v0 = fem.initial_coefficients(ops, problem)
+        integ = Integrator(scheme, config.tau, problem, ops,
+                           _batched_initial(problem, ops, 1, (u0, v0)), "extrapolation")
+        for n, dw in enumerate(increments(problem.noise, config.tau, 8, [RngStream(5, 0)]), 1):
+            diag = integ.step(dw @ cmap.T, diagnostics=True)
+            assert columns["V"][n] == diag.V[0] and columns["q"][n] == diag.q[0]
+            assert abs(columns["energy_residual"][n]) <= 1e-9 * (1.0 + columns["V"][n])
 
 
 class TestConverge:

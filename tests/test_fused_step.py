@@ -492,10 +492,10 @@ def test_registry_pairs_share_only_identical_maps():
 
 def test_fem_simulate_step_zero_trace_term_is_finite():
     config = cli.RunConfig(backend="fem", elements=16, T=2.0**-5, tau=2.0**-7)
-    _, records = cli._trajectory(config)
-    assert np.isfinite(records[0].trace_term) and records[0].trace_term > 0.0
+    trace0 = cli._trajectory(config)[1]["trace_term"][0]
+    assert np.isfinite(trace0) and trace0 > 0.0
     ops = fem.assemble(16)
     problem = make_problem(modes=16)
     u0c, _ = fem.initial_coefficients(ops, problem)
     expect = trace_operator(problem.noise, ops)(problem.g(ops.nodal(u0c)))
-    assert records[0].trace_term == pytest.approx(float(expect), rel=1e-14)
+    assert trace0 == pytest.approx(float(expect), rel=1e-14)

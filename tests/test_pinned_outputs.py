@@ -75,15 +75,15 @@ def _spatial():
 
 
 def _simulate():
-    # The single path of the `simulate` command, records of every step.
+    # The single path of the `simulate` command, values at every step.
     out = {}
     for backend in ("spectral", "fem"):
         for scheme in ("exponential", "midpoint"):
             config = cli.RunConfig(backend=backend, variant=scheme, predictor="extrapolation",
                                    modes=24, elements=16, T=0.25, tau=2.0**-6, seed=2024)
-            _, records = cli._trajectory(config)
+            _, columns = cli._trajectory(config)
             for field in ("V", "V1", "q", "aux_gap", "trace_term"):
-                out[f"{backend}.{scheme}.{field}"] = [getattr(r, field) for r in records]
+                out[f"{backend}.{scheme}.{field}"] = columns[field]
     return out
 
 

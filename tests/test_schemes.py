@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from savwave import fem, schemes
+from savwave import schemes
 from savwave.model import (
     apply_g_core,
     drift_core,
@@ -11,14 +11,13 @@ from savwave.model import (
     sav_radicand,
     spectral_discretization,
 )
-from savwave.noise import RngStream, increments, power_covariance
+from savwave.noise import RngStream, increments
 from savwave.schemes import (
     BlowUpError,
     Integrator,
     SavState,
     modified_energy,
     pathwise_energy_residual,
-    run_trajectory,
     state_norm,
     step_exponential_sav,
     step_midpoint_sav,
@@ -260,103 +259,6 @@ class TestPathwiseEnergyIdentity:
         assert worst > 1e-7
 
 
-class TestRunTrajectory:
-    def test_zero_steps_returns_initial_record_only(self):
-        problem = make_problem(f="sine", g="sine", modes=16)
-        records = run_trajectory(problem, tau=0.1, n_steps=0, rng=RngStream(1, 0))
-        assert len(records) == 1
-        assert records[0].step == 0
-        assert records[0].aux_gap == 0.0
-
-    def test_conservative_single_mode_energy_constant(self):
-        problem = make_problem(f="linear", g="zero", modes=1)
-        records = run_trajectory(problem, scheme="midpoint", tau=2.0**-6, n_steps=10_000,
-                                 rng=RngStream(2, 0))
-        v = np.array([r.V for r in records])
-        assert np.max(np.abs(v - v[0])) / v[0] <= 1e-10
-
-    def test_deterministic_replay(self):
-        problem = make_problem(f="sine", g="sine", modes=24)
-        a = run_trajectory(problem, tau=2.0**-6, n_steps=32, rng=RngStream(9, 4))
-        b = run_trajectory(problem, tau=2.0**-6, n_steps=32, rng=RngStream(9, 4))
-        assert [r.V for r in a] == [r.V for r in b]
-        assert [r.q for r in a] == [r.q for r in b]
-
-    def test_blow_up_guard_aborts(self):
-        problem = make_problem(f="sine", g="sine", modes=16)
-        with pytest.raises(BlowUpError):
-            run_trajectory(problem, tau=2.0**-6, n_steps=8, rng=RngStream(3, 0), guard=1e-6)
-
-    def test_records_carry_monotone_time_and_finite_diagnostics(self):
-        problem = make_problem(f="cubic", g="sine", modes=16)
-        records = run_trajectory(problem, scheme="midpoint", tau=2.0**-7, n_steps=64,
-                                 rng=RngStream(8, 1))
-        times = np.array([r.time for r in records])
-        assert np.all(np.diff(times) > 0)
-        for r in records:
-            assert np.isfinite(r.V) and np.isfinite(r.V1) and np.isfinite(r.trace_term)
-
-    def test_matched_discretization_gap_is_initialization_only(self):
-        # V - V1 = q^2 - F(u) stays within O(tau) of its initial value delta0
-        problem = make_problem(f="sine", g="sine", modes=32)
-        tau = 2.0**-7
-        diffs = np.zeros(33)
-        paths = 4
-        for i in range(paths):
-            records = run_trajectory(problem, tau=tau, n_steps=32, rng=RngStream(40, i))
-            diffs += np.array([r.V - r.V1 for r in records]) / paths
-        assert abs(diffs[0] - problem.delta0) <= 1e-12
-        assert np.max(np.abs(diffs - diffs[0])) <= 20 * tau
-
-    def test_unknown_scheme_rejected(self):
-        problem = make_problem(modes=8)
-        with pytest.raises(ValueError):
-            run_trajectory(problem, scheme="verlet", tau=0.1, n_steps=1, rng=RngStream(0))
-
-    def test_extrapolation_predictor_changes_the_path(self):
-        problem = make_problem(f="cubic", g="sine", modes=16)
-        a = run_trajectory(problem, predictor="identity", tau=2.0**-5, n_steps=16,
-                           rng=RngStream(12, 0))
-        b = run_trajectory(problem, predictor="extrapolation", tau=2.0**-5, n_steps=16,
-                           rng=RngStream(12, 0))
-        assert a[-1].V != b[-1].V
-
-    def test_nonfinite_state_aborts(self):
-        problem = make_problem(f="linear", g="zero", modes=4)
-        ops = spectral_discretization(4)
-        table = spectral_group_table(4, 0.1)
-        state = SavState(np.full(4, 1e308), np.zeros(4), 1.0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(BlowUpError):
-                step_exponential_sav(state, np.zeros(4), table, problem, ops)
-
-    def test_noise_beyond_the_truncation_rejected(self):
-        problem = make_problem(modes=8, noise=power_covariance(16))
-        with pytest.raises(ValueError):
-            run_trajectory(problem, tau=0.1, n_steps=1, rng=RngStream(0))
-
-    @pytest.mark.parametrize("scheme", ["exponential", "midpoint"])
-    def test_fem_backend_steps_the_mapped_noise(self, scheme):
-        # noise with more sine modes than the mesh has eigenmodes is mapped,
-        # not padded; each record is the Integrator's step on that increment
-        ops = fem.assemble(16)
-        problem = make_problem(f="sine", g="sine", modes=16)
-        cmap = fem.noise_projection_matrix(ops, 16)
-        initial = fem.initial_coefficients(ops, problem)
-        tau = 2.0**-6
-        records = run_trajectory(problem, scheme=scheme, predictor="extrapolation", tau=tau,
-                                 n_steps=8, rng=RngStream(5, 0), ops=ops, initial=initial,
-                                 noise_map=cmap)
-        integ = Integrator(scheme, tau, problem, ops, schemes.initial_state(*initial, problem, ops),
-                           "extrapolation")
-        rng = RngStream(5, 0)
-        for record in records[1:]:
-            diag = integ.step(cmap @ next(increments(problem.noise, tau, 1, [rng]))[0],
-                              diagnostics=True)
-            assert record.V == float(diag.V) and record.q == float(diag.q)
-            assert abs(record.energy_residual) <= 1e-9 * (1.0 + record.V)
-
-
 class TestIntegrator:
     @pytest.mark.parametrize("scheme, predictor", [("verlet", "identity"),
                                                    ("exponential", "extrapolate")])
@@ -393,3 +295,12 @@ class TestIntegrator:
         res = substitution_residual(scheme, state, integ.state, dws[1], problem, ops,
                                     table=table, tau=tau, u_hat=0.5 * (3.0 * state.u - prev))
         assert np.max(res) <= 1e-10
+
+    def test_nonfinite_state_aborts(self):
+        problem = make_problem(f="linear", g="zero", modes=4)
+        ops = spectral_discretization(4)
+        table = spectral_group_table(4, 0.1)
+        state = SavState(np.full(4, 1e308), np.zeros(4), 1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(BlowUpError):
+                step_exponential_sav(state, np.zeros(4), table, problem, ops)

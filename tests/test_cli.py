@@ -174,6 +174,18 @@ class TestTrajectory:
         assert v.size == 10_001
         assert np.max(np.abs(v - v[0])) / v[0] <= 1e-10
 
+    def test_deterministic_replay(self):
+        config = RunConfig(f="sine", g="sine", modes=24, T=0.5, tau=2.0**-6, seed=9)
+        _, a = _trajectory(config)
+        _, b = _trajectory(config)
+        assert a.keys() == b.keys()
+        for name in a:
+            assert np.array_equal(a[name], b[name]), name
+
+    def test_unknown_scheme_rejected(self):
+        with pytest.raises(ValueError):
+            _trajectory(RunConfig(modes=8, variant="verlet", T=0.1, tau=0.1))
+
     def test_rows_carry_monotone_time_and_finite_diagnostics(self):
         config = RunConfig(f="cubic", g="sine", modes=16, variant="midpoint",
                            T=0.5, tau=2.0**-7, seed=8)

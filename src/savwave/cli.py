@@ -480,6 +480,11 @@ def main(argv=None):
             overrides["out_dir"] = args.out
         config = load_config(args.config, overrides)
         out_dir = Path(config.out_dir)
+        if args.command != "simulate" and (config.backend != "spectral" or config.noise_modes):
+            key, value = (("space.backend", config.backend) if config.backend != "spectral"
+                          else ("noise.modes", config.noise_modes))
+            raise ConfigError(f"invalid value for {key}: {value} (simulate only; "
+                              f"{args.command} runs the sine backend on space.modes modes)")
         if args.command == "simulate":
             return cmd_simulate(config, out_dir, svg=args.svg)
         if args.command == "converge":

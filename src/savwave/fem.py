@@ -8,7 +8,8 @@ theta_k = k*pi*h, c_k = sqrt(6/(2 + cos theta_k)), with eigenvalues
 `model.Discretization` in that basis directly: the sine basis on the mesh,
 rescaled mode by mode, with no eigensolver and no linear solve.  The time
 steppers then run on it exactly as on the sine spectral space.
-`l2_project` and `ritz_project` keep the defining solves as oracles.
+`l2_project` and `ritz_project` keep the defining solves as oracles, and
+`linear_interp` evaluates nodal values between the nodes.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ __all__ = [
     "ritz_project",
     "initial_coefficients",
     "noise_projection_matrix",
-    "linear_interp_matrix",
+    "linear_interp",
 ]
 
 _GAUSS_T = 0.5 * (1.0 + np.array([-np.sqrt(0.6), 0.0, np.sqrt(0.6)]))
@@ -134,14 +135,10 @@ def noise_projection_matrix(ops, noise_modes):
     return ops.analysis @ _synthesis_matrix(noise_modes, ops.modes + 1)
 
 
-def linear_interp_matrix(x_nodes, x_eval):
-    """(len(x_eval), len(x_nodes)) piecewise-linear evaluation matrix."""
+def linear_interp(x_nodes, values, x_eval):
+    """Piecewise-linear interpolant of nodal `values` (..., nodes) at `x_eval`: (..., points)."""
     x_nodes = np.asarray(x_nodes)
     x_eval = np.asarray(x_eval)
     idx = np.clip(np.searchsorted(x_nodes, x_eval, side="right") - 1, 0, x_nodes.size - 2)
     t = (x_eval - x_nodes[idx]) / (x_nodes[idx + 1] - x_nodes[idx])
-    mat = np.zeros((x_eval.size, x_nodes.size))
-    rows = np.arange(x_eval.size)
-    mat[rows, idx] = 1.0 - t
-    mat[rows, idx + 1] = t
-    return mat
+    return values[..., idx] * (1.0 - t) + values[..., idx + 1] * t

@@ -16,8 +16,8 @@ size it compares, through one process pool.  Each task streams its noise
 through `noise.increments` (a convergence task through
 `noise.coupled_increments`, which also sums the coarse increments), so it
 holds O(rows * modes) memory whatever its step count; a spatial task's
-terminal error arrays are O(rows * fine_grid), its reference synthesized on
-the fine grid in blocks of `_FINE_BLOCK` points.
+terminal error arrays are O(rows * `_FINE_BLOCK`), its reference and its
+element solutions evaluated on the fine grid one block of points at a time.
 """
 
 from __future__ import annotations
@@ -474,16 +474,10 @@ def aux_gap_scaling(study, workers=1):
 # Element-space refinement against the sine reference.
 
 
-# Fine-grid points per block of the spatial reference: the sine reference is
-# synthesized on the fine grid one (block, ref_modes) sine matrix at a time,
-# where the whole (2049, 256) matrix and its sin temporary took 2 x 4.2 MiB
-# (spatial-fem peak RSS 55.7 -> 49.8 MiB).
-# Blocks start at multiples of the block, so each value keeps the bits of the
-# whole-grid product, except at x = 1 (a one-point last block on a 2^j grid),
-# where the reference is round-off of about 1e-16 and the element solution is
-# exactly 0.  With 4 rows or fewer a block's product may take OpenBLAS's
-# small-matrix kernel (at most 1200 outputs on Skylake-X), whose last bits
-# differ from those of the whole-grid product.
+# Fine-grid points per block of the terminal error: the sine reference and
+# the interpolated element solutions are evaluated on the fine grid one
+# (rows, block) array at a time, never as a (fine_grid + 1, ref_modes) sine
+# matrix or a (rows, fine_grid + 1) array.
 _FINE_BLOCK = 256
 
 
@@ -515,16 +509,16 @@ def _spatial_chunk(study, first, stop=None):
 
     fine = uniform_grid(study.fine_grid)
     k = np.arange(1, kref + 1)
-    ref_vals = np.empty((batch, fine.x.size))
+    nodal = [ops.nodal(run.state.u) for ops, run in zip(meshes, fem_runs)]
+    sq_errors = np.zeros((len(meshes), batch))
     for lo in range(0, fine.x.size, _FINE_BLOCK):
         x = fine.x[lo:lo + _FINE_BLOCK]
-        block = np.sqrt(2.0) * np.sin(np.pi * np.outer(x, k))
-        ref_vals[:, lo:lo + x.size] = ref.state.u @ block.T
-    sq_errors = np.empty((len(meshes), batch))
-    for i, (ops, run) in enumerate(zip(meshes, fem_runs)):
-        interp = fem_mod.linear_interp_matrix(ops.x, fine.x)
-        vals = run.state.u @ ops.synth.T @ interp.T
-        sq_errors[i] = np.einsum("bm,m->b", (ref_vals - vals) ** 2, fine.weights)
+        ref_vals = ref.state.u @ (np.sqrt(2.0) * np.sin(np.pi * np.outer(x, k))).T
+        for ops, vals, sq in zip(meshes, nodal, sq_errors):
+            err = fem_mod.linear_interp(ops.x, vals, x)
+            np.subtract(ref_vals, err, out=err)
+            np.square(err, out=err)
+            sq += np.einsum("bm,m->b", err, fine.weights[lo:lo + x.size])
     return [sq_errors[:, s] for s in spans]
 
 

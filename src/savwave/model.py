@@ -101,7 +101,7 @@ class Discretization:
 
     @cached_property
     def synth_t(self):
-        """C-ordered copy of synth.T, derived from this instance's synth."""
+        """C-ordered synth.T of this instance: a view of a spectral synth, else a copy."""
         return np.ascontiguousarray(self.synth.T)
 
     def nodal(self, coeffs):
@@ -127,9 +127,12 @@ def spectral_discretization(modes, grid_factor=2, grid_points=None):
     if m < modes + 1:
         raise ValueError(f"grid with {m} intervals cannot resolve {modes} modes")
     grid = uniform_grid(m)
-    synth = _synthesis_matrix(modes, m)  # shared and read-only
-    analysis = (synth * grid.weights[:, None]).T
-    return Discretization(eigenvalues(modes), grid, synth, analysis)
+    # One read-only sine matrix: synth is a view of synth_t.  analysis is the
+    # transpose of a C-ordered (M+1, K) product; the GEMMs' bits depend on it.
+    synth_t = np.ascontiguousarray(_synthesis_matrix(modes, m).T)
+    synth_t.setflags(write=False)
+    analysis = np.multiply(synth_t.T, grid.weights[:, None], order="C").T
+    return Discretization(eigenvalues(modes), grid, synth_t.T, analysis)
 
 
 def _zero(u):

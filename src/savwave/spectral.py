@@ -12,7 +12,7 @@ approximation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -153,7 +153,6 @@ def spectral_group_table(modes, tau):
     return wave_group_table(eigenvalues(modes), tau)
 
 
-@lru_cache(maxsize=32)
 def _synthesis_matrix(modes, grid_points):
     """(grid_points+1, modes) map from coefficients to nodal values on x_j = j/M.
 
@@ -164,5 +163,4 @@ def _synthesis_matrix(modes, grid_points):
     mat = np.sqrt(2.0) * np.sin(np.pi * np.outer(j, k) / grid_points)
     mat[0, :] = 0.0
     mat[-1, :] = 0.0
-    mat.setflags(write=False)
     return mat

@@ -103,6 +103,20 @@ class TestConfig:
             assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["converge", "energy"])
+    @pytest.mark.parametrize("key, value", [
+        ("space.backend", "fem"),
+        ("noise.modes", "32"),
+    ])
+    def test_simulate_only_keys_are_config_errors_elsewhere(self, tmp_path, capsys, command,
+                                                            key, value):
+        # converge and energy run the sine backend with space.modes noise modes
+        path = write(tmp_path / "c.txt", f"{key} = {value}\noutput.dir = {tmp_path / 'out'}\n")
+        load_config(path)  # valid for simulate
+        assert main([command, "--config", path]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestSimulate:
     def test_row_count_includes_initial_state(self, tmp_path):

@@ -10,7 +10,7 @@ from savwave.fem import (
     eigenvalue_closed_form,
     initial_coefficients,
     l2_project,
-    linear_interp_matrix,
+    linear_interp,
     noise_projection_matrix,
     ritz_project,
 )
@@ -144,7 +144,7 @@ class TestProjections:
         x = np.linspace(0.0, 1.0, 100_001)
         w = np.full(x.size, 1.0 / 100_000)
         w[[0, -1]] *= 0.5
-        hats = linear_interp_matrix(ops.x, x)[:, 1:-1]
+        hats = np.array([np.interp(x, ops.x, hat) for hat in np.eye(ops.x.size)[1:-1]]).T
         dense_load = (w * np.sin(np.pi * x)) @ hats
         _, mass = _fem_stencil(16)
         assert np.max(np.abs(dense_load - mass @ proj)) <= 1e-10
@@ -155,7 +155,7 @@ class TestProjections:
             ops = assemble(elems)
             proj = l2_project(ops, sine_initial(max(8, elems)))
             x = np.linspace(0.0, 1.0, 4097)
-            vals = linear_interp_matrix(ops.x, x) @ np.concatenate([[0.0], proj, [0.0]])
+            vals = np.interp(x, ops.x, np.concatenate([[0.0], proj, [0.0]]))
             w = np.full(x.size, 1.0 / 4096)
             w[[0, -1]] *= 0.5
             errs.append(np.sqrt(np.sum(w * (vals - np.sin(np.pi * x)) ** 2)))
@@ -294,7 +294,11 @@ class TestFullyDiscreteStep:
         back = ops.nodal(coeffs)
         assert np.max(np.abs(back[1:-1] - nodal)) <= 1e-12
 
-    def test_interp_matrix_reproduces_nodal_values(self):
+    def test_linear_interp_reproduces_nodes_and_matches_np_interp(self):
         ops = assemble(8)
-        mat = linear_interp_matrix(ops.x, ops.x)
-        assert np.max(np.abs(mat - np.eye(9))) <= 1e-14
+        rng = np.random.default_rng(10)
+        vals = rng.standard_normal((3, 9))
+        assert np.max(np.abs(linear_interp(ops.x, vals, ops.x) - vals)) <= 1e-15
+        x = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 50)])
+        oracle = np.array([np.interp(x, ops.x, row) for row in vals])
+        assert np.max(np.abs(linear_interp(ops.x, vals, x) - oracle)) <= 1e-14

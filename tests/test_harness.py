@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from savwave import checks, fem, harness, noise, schemes
+from savwave import checks, fem, harness, noise, schemes, spectral
 from savwave.checks import invariant_suite
 from savwave.harness import (
     AuxGapStudy,
@@ -428,10 +428,11 @@ class TestSpatialRefinement:
         assert res.slope >= 0.6
 
     @pytest.mark.parametrize("fine_grid", [1000, 200])  # not a multiple of a block; under one
-    def test_blocked_reference_keeps_the_whole_grid_bits(self, monkeypatch, fine_grid):
+    def test_blocked_error_matches_the_whole_grid_oracle(self, monkeypatch, fine_grid):
         # Oracle: the reference synthesized by one (fine_grid + 1, ref_modes)
-        # sine matrix, from the terminal states the chunk stepped.  At 8 rows
-        # every block's product, like the whole grid's, has over 1200 outputs.
+        # sine matrix and the element solutions interpolated by np.interp,
+        # from the terminal states the chunk stepped.  Blocks sum the
+        # quadrature in another order, so the errors agree to rtol 1e-12.
         runs = []
 
         def recording(*args, **kwargs):
@@ -449,15 +450,15 @@ class TestSpatialRefinement:
         expected = np.empty_like(got)
         for i, (e, run) in enumerate(zip(study.h_exps, fem_runs)):
             ops = fem.assemble(2**e)
-            vals = run.state.u @ ops.synth.T @ fem.linear_interp_matrix(ops.x, fine.x).T
+            vals = np.array([np.interp(fine.x, ops.x, row) for row in run.state.u @ ops.synth.T])
             expected[i] = np.einsum("bm,m->b", (ref_vals - vals) ** 2, fine.weights)
-        assert got.tobytes() == expected.tobytes()
+        assert np.all(expected > 0)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
 
     def test_terminal_memory_scales_with_rows_not_modes(self):
-        # A 4x finer grid may add only arrays that scale with it: the (rows,
-        # fine_grid + 1) terminal values and their differences, and two
-        # (fine_grid + 1, E + 1) interpolation matrices with their index
-        # vectors; never a (fine_grid + 1, ref_modes) sine matrix.
+        # A 4x finer grid may add at most 3 float64 per fine-grid point: its
+        # nodes and weights; never a (fine_grid + 1, ref_modes) sine matrix,
+        # a (rows, fine_grid + 1) array or an interpolation matrix.
         rows, h_exps = 4, (2, 3)
         studies = [SpatialStudy(f="sine", g="sine", ref_modes=128, h_exps=h_exps, T=2.0**-4,
                                 tau=2.0**-6, realizations=rows, chunk=rows, fine_grid=fine_grid)
@@ -471,7 +472,7 @@ class TestSpatialRefinement:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        per_point = 8 * (4 * rows + 2 * (2 ** max(h_exps) + 1) + 8)
+        per_point = 3 * 8
         assert peaks[1] - peaks[0] <= (8192 - 2048) * per_point
 
 
@@ -548,6 +549,15 @@ class TestInvariantSuite:
 
         self._fails_under(monkeypatch, checks._check_spectral_parseval,
                           checks, "spectral_discretization", unscaled)
+
+    def test_hoelder_cosine_sees_a_table_without_the_square_root(self, monkeypatch):
+        build = spectral.wave_group_table
+
+        def unrooted(lam, tau):  # cos(t*lam) in place of cos(t*sqrt(lam))
+            return build(np.asarray(lam) ** 2, tau)
+
+        self._fails_under(monkeypatch, checks._check_spectral_hoelder,
+                          spectral, "wave_group_table", unrooted)
 
     def test_coupling_exact_sees_a_reversed_sum(self, monkeypatch):
         def reversed_sum(cov, tau, n_steps, streams, multiples):

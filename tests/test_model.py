@@ -203,10 +203,11 @@ class TestNodal:
         doubled = replace(ops, synth=2.0 * ops.synth)
         assert np.array_equal(doubled.nodal(c), 2.0 * before)
 
-    def test_spectral_synth_is_the_shared_read_only_matrix(self):
+    def test_spectral_sine_matrix_is_held_once_read_only(self):
         ops = spectral_discretization(32)
-        assert ops.synth is _synthesis_matrix(32, 64)
-        assert not ops.synth.flags.writeable
+        assert np.shares_memory(ops.synth, ops.synth_t)
+        assert np.array_equal(ops.synth, _synthesis_matrix(32, 64))
+        assert not ops.synth.flags.writeable and not ops.synth_t.flags.writeable
 
 
 class TestDealiasing:

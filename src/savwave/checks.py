@@ -48,8 +48,9 @@ def _result_range(name, value, lo, hi, detail=""):
 
 
 def _smooth_field(rng, modes, decay=2.0):
+    """A batch of one (1, modes) random field with coefficients decaying as k^-decay."""
     k = np.arange(1, modes + 1, dtype=np.float64)
-    return rng.standard_normal(modes) / k**decay
+    return rng.standard_normal((1, modes)) / k**decay
 
 
 def _check_spectral_trig(rng, _):
@@ -66,7 +67,7 @@ def _check_spectral_trig(rng, _):
 
 
 def _free_wave(tau, ops, u, v):
-    """Integrator of the exponential scheme with f = g = 0: the bare wave group."""
+    """Integrator of the exponential scheme with f = g = 0 from (1, K) u, v: the bare wave group."""
     problem = make_problem(f="zero", g="zero", modes=ops.modes)
     return Integrator("exponential", tau, problem, ops, initial_state(u, v, problem, ops))
 
@@ -88,7 +89,7 @@ def _check_spectral_unitarity(rng, _):
     modes = 64
     lam = np.pi**2 * np.arange(1, modes + 1) ** 2
     u = _smooth_field(rng, modes, 1.0)
-    v = rng.standard_normal(modes)
+    v = rng.standard_normal((1, modes))
     drift = _wave_energy_drift(2.0**-6, spectral_discretization(modes), u, v, lam)
     return _result("spectral.unitarity_drift", drift, 1e-12, "10^4 composed steps")
 
@@ -96,11 +97,11 @@ def _check_spectral_unitarity(rng, _):
 def _check_spectral_composition(rng, _):
     tau = 0.137
     ops = spectral_discretization(32)
-    u = rng.standard_normal(32)
-    v = rng.standard_normal(32)
+    u = rng.standard_normal((1, 32))
+    v = rng.standard_normal((1, 32))
     one = _free_wave(tau, ops, u, v)
     two = _free_wave(2 * tau, ops, u, v)
-    zero = np.zeros(32)
+    zero = np.zeros((1, 32))
     one.step(zero)
     one.step(zero)
     two.step(zero)
@@ -131,7 +132,7 @@ def _check_spectral_hoelder(rng, _):
 
 def _check_spectral_roundtrip(rng, _):
     ops = spectral_discretization(48)
-    c = rng.standard_normal(48)
+    c = rng.standard_normal((1, 48))
     back = ops.project(ops.nodal(c))
     worst = np.max(np.abs(back - c)) / np.max(np.abs(c))
     return _result("spectral.transform_roundtrip", worst, 1e-12)
@@ -141,7 +142,7 @@ def _check_spectral_parseval(rng, _):
     m = 256
     ops = spectral_discretization(8, grid_points=m)
     c = _smooth_field(rng, 8, 2.0)
-    err = abs(float(ops.quad(ops.nodal(c) ** 2)) - c @ c)
+    err = abs(ops.quad(ops.nodal(c) ** 2)[0] - np.vdot(c, c))
     return _result("spectral.parseval_quadrature", err, 5.0 / m**2)
 
 
@@ -224,8 +225,8 @@ def _check_model_gradient(rng, _):
         phi = _smooth_field(rng, modes, 2.0)
         plus = potential(u + eps * phi, problem, ops)
         minus = potential(u - eps * phi, problem, ops)
-        fd = (plus - minus) / (2 * eps)
-        inner = float(np.dot(ops.project(problem.f(ops.nodal(u))), phi))
+        fd = (plus[0] - minus[0]) / (2 * eps)
+        inner = float(np.vdot(ops.project(problem.f(ops.nodal(u))), phi))
         worst = max(worst, abs(fd - inner) / max(abs(inner), 1e-12))
     return _result("model.gradient_consistency", worst, 1e-6, "eps = 1e-5")
 
@@ -236,8 +237,8 @@ def _check_model_dealiasing(rng, _):
     modes = 32
     coarse = spectral_discretization(modes)
     fine = spectral_discretization(modes, grid_factor=4)
-    u = np.zeros(modes)
-    u[: modes // 4] = _smooth_field(rng, modes // 4, 2.0)
+    u = np.zeros((1, modes))
+    u[:, : modes // 4] = _smooth_field(rng, modes // 4, 2.0)
     worst = 0.0
     for name in ("sine", "cubic"):
         problem = make_problem(f=name, g="sine", modes=modes)
@@ -248,7 +249,7 @@ def _check_model_dealiasing(rng, _):
 
 
 def _check_model_floor(_, seed):
-    from .model import RADICAND_FLOOR, make_problem, sav_radicand, spectral_discretization
+    from .model import RADICAND_FLOOR, make_problem, spectral_discretization
 
     problem = make_problem(f="sine", g="sine", modes=32)
     ops = spectral_discretization(32)
@@ -256,9 +257,8 @@ def _check_model_floor(_, seed):
                        _batched_initial(problem, ops, 4))
     lowest = np.inf
     for dw in _path_increments(problem.noise, 2.0**-6, 64, seed, 21, 4):
-        integ.step(dw)
-        rad = sav_radicand(integ.state.u, problem, ops)
-        lowest = min(lowest, float(np.min(rad)))
+        integ.step(dw, diagnostics=True)
+        lowest = min(lowest, float(np.min(integ.state.rad)))
     value = RADICAND_FLOOR / lowest  # passes iff lowest >= floor
     return _result("model.radicand_floor", value, 1.0, f"min radicand {lowest:.3e}")
 
@@ -447,8 +447,8 @@ def _check_fem_trig(rng, _):
 
 def _check_fem_conservation(rng, _):
     ops = fem_mod.assemble(32)
-    u = rng.standard_normal(ops.modes) / np.arange(1, ops.modes + 1)
-    v = rng.standard_normal(ops.modes)
+    u = rng.standard_normal((1, ops.modes)) / np.arange(1, ops.modes + 1)
+    v = rng.standard_normal((1, ops.modes))
     drift = _wave_energy_drift(2.0**-6, ops, u, v, ops.lam)
     return _result("fem.energy_conservation", drift, 1e-10, "10^4 steps")
 

@@ -112,6 +112,10 @@ class RunConfig:
             raise ConfigError(f"invalid value for time.tau: {self.tau}")
         if self.noise_modes < 0:
             raise ConfigError(f"invalid value for noise.modes: {self.noise_modes}")
+        if self.seed < 0:
+            raise ConfigError(f"invalid value for mc.seed: {self.seed} (must be >= 0)")
+        if not self.tau_exps:
+            raise ConfigError("invalid value for converge.tau_exps: empty")
         if any(e > self.ref_exp for e in self.tau_exps):
             raise ConfigError(f"invalid value for converge.tau_exps: {self.tau_exps} "
                               f"(no step may be finer than converge.ref_exp = {self.ref_exp})")
@@ -469,6 +473,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     if args.command == "check":
+        if args.seed < 0:
+            print(f"config error: invalid value for --seed: {args.seed} (must be >= 0)",
+                  file=sys.stderr)
+            return 2
         mutations = {"unbalanced_table"} if args.mutate == "unbalanced-table" else set()
         return cmd_check(args.filter, seed=args.seed, mutations=mutations)
 

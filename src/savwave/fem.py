@@ -8,8 +8,10 @@ theta_k = k*pi*h, c_k = sqrt(6/(2 + cos theta_k)), with eigenvalues
 `model.Discretization` in that basis directly: the sine basis on the mesh,
 rescaled mode by mode, with no eigensolver and no linear solve.  The time
 steppers then run on it exactly as on the sine spectral space.
-`l2_project` and `ritz_project` keep the defining solves as oracles, and
-`linear_interp` evaluates nodal values between the nodes.
+`l2_project` and `ritz_project` keep the defining solves of a function
+(a SpectralField or a callable of x) as oracles, and `linear_interp`
+evaluates nodal values between the nodes.  Coefficient states are batches
+(..., B, K) like on the spectral space.
 """
 
 from __future__ import annotations
@@ -80,34 +82,24 @@ def _load(ops, source):
     return (scaled @ _GAUSS_T)[:-1] + (scaled @ (1.0 - _GAUSS_T))[1:]
 
 
-def _interior(ops, values):
-    if values.shape != (ops.modes,):
-        raise ValueError(f"expected {ops.modes} interior values")
-    return values.copy()
-
-
 def l2_project(ops, source):
     """L2 projection onto the element space: solve mass @ x = load.
 
-    Loads are integrated by 3-point Gauss quadrature per element; an interior
-    nodal vector is already in the space and is returned as-is.  The solve is
-    phi @ (phi.T @ load), as phi.T @ mass @ phi = I.
+    `source` is a SpectralField or a callable of x, its loads integrated by
+    3-point Gauss quadrature per element; the result is interior nodal values.
+    The solve is phi @ (phi.T @ load), as phi.T @ mass @ phi = I.
     """
-    if isinstance(source, np.ndarray):
-        return _interior(ops, source)
     phi = ops.synth[1:-1]
     return phi @ (phi.T @ _load(ops, source))
 
 
 def ritz_project(ops, source):
-    """Energy projection: solve stiffness @ x = gradient load.
+    """Energy projection of `source` (as in l2_project): solve stiffness @ x = gradient load.
 
     The gradient load against a hat function telescopes to nodal values,
     (2u_i - u_{i-1} - u_{i+1})/h, so on a 1-d mesh the result coincides with
     nodal interpolation.  The solve is phi @ ((phi.T @ load) / mu).
     """
-    if isinstance(source, np.ndarray):
-        return _interior(ops, source)
     h = 1.0 / (ops.modes + 1)
     vals = _evaluate(source, ops.x)
     load = (2.0 * vals[1:-1] - vals[:-2] - vals[2:]) / h

@@ -48,10 +48,10 @@ __all__ = [
 
 
 def fit_loglog(x, y):
-    """Least-squares slope and intercept of log2(y) against log2(x)."""
+    """Least-squares slope and intercept of log2(y) on log2(x); NaN for < 2 points or a y <= 0."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if np.any(y <= 0):
+    if x.size < 2 or np.any(y <= 0):
         return float("nan"), float("nan")
     slope, intercept = np.polyfit(np.log2(x), np.log2(y), 1)
     return float(slope), float(intercept)

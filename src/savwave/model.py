@@ -105,11 +105,8 @@ class Discretization:
         return np.ascontiguousarray(self.synth.T)
 
     def nodal(self, coeffs):
-        # A batch multiplies the C-ordered transpose, which OpenBLAS's small
-        # GEMM runs faster than the transposed view; one vector keeps the GEMV
-        # synth @ c, whose bits `c @ synth_t` does not reproduce.
-        if coeffs.ndim == 1:
-            return self.synth @ coeffs
+        # coeffs is a batch (..., B, K), multiplied into the C-ordered transpose,
+        # which OpenBLAS's small GEMM runs faster than the transposed view.
         return coeffs @ self.synth_t
 
     def project(self, values):
@@ -262,9 +259,8 @@ def make_problem(
 
 
 # ---------------------------------------------------------------------------
-# Array cores.  These accept coefficient arrays of shape (..., K) and
-# broadcast over leading axes so that batches of realizations share one code
-# path with single states.
+# Array cores.  These take batches of coefficient arrays, shape (..., B, K),
+# and broadcast over the leading axes.
 
 
 def potential(coeffs, problem, ops):

@@ -14,8 +14,9 @@ path,
     V = 1/2 |u|_{H1}^2 + 1/2 |v|_{L2}^2 + q^2,   G_n = g(u_n) dW_n,
 
 which yields the linear-in-time growth of the averaged energy after taking
-expectations.  All state arrays have shape (..., K); leading axes batch
-independent realizations through identical arithmetic.
+expectations.  A state is a batch: u and v have shape (..., B, K) and q
+(..., B), one row per independent realization, all through identical
+arithmetic.
 
 `Integrator` is the one trajectory engine: it alone maps a scheme name to its
 propagator table, and it holds the predictor memory and the blow-up guard
@@ -43,7 +44,6 @@ __all__ = [
     "initial_state",
     "modified_energy",
     "state_norm",
-    "pathwise_energy_residual",
     "step_exponential_sav",
     "step_midpoint_sav",
     "substitution_residual",
@@ -139,17 +139,6 @@ def modified_energy(u, v, q, lam):
 def state_norm(state, lam):
     """Graph norm sqrt(|u|_{H1}^2 + |v|_{L2}^2 + q^2) used to scale residuals."""
     return np.sqrt(_dot(lam * state.u, state.u) + _dot(state.v, state.v) + state.q**2)
-
-
-def pathwise_energy_residual(state_n, state_next, g_increment, lam):
-    """Defect of V_{n+1} - V_n - <v_n, G_n> - 1/2 |G_n|^2 for one step.
-
-    Zero up to round-off for both schemes; with g = 0 it reduces to exact
-    conservation of the modified energy.
-    """
-    v_old = modified_energy(state_n.u, state_n.v, state_n.q, lam)
-    v_new = modified_energy(state_next.u, state_next.v, state_next.q, lam)
-    return v_new - v_old - _dot(state_n.v, g_increment) - 0.5 * _dot(g_increment, g_increment)
 
 
 def initial_state(u, v, problem, ops):

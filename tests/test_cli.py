@@ -1,3 +1,4 @@
+import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
@@ -115,6 +116,21 @@ class TestConfig:
         load_config(path)  # valid for simulate
         assert main([command, "--config", path]) == 2
         assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "converge", "energy"])
+    @pytest.mark.parametrize("config_seed, flag", [("-1", []), ("99", ["--seed", "-3"])])
+    def test_negative_seed_is_a_config_error(self, tmp_path, capsys, command, config_seed, flag):
+        path = write(tmp_path / "c.txt", BASE.replace("mc.seed = 99", f"mc.seed = {config_seed}"))
+        assert main([command, "--config", path, "--out", str(tmp_path / "out"), *flag]) == 2
+        assert "mc.seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_ladder_is_a_config_error(self, tmp_path, capsys):
+        path = write(tmp_path / "c.txt", BASE.replace("converge.tau_exps = 4 5 6",
+                                                      "converge.tau_exps ="))
+        assert main(["converge", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert "converge.tau_exps" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 
@@ -279,6 +295,15 @@ class TestConverge:
         assert "# scheme=exponential slope=" in text
         assert "seed=99" in text
 
+    def test_one_rung_ladder_fits_no_slope(self, tmp_path):
+        cfg = write(tmp_path / "c.txt", BASE.replace("converge.tau_exps = 4 5 6",
+                                                     "converge.tau_exps = 6"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["converge", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        text = (tmp_path / "out" / "converge.csv").read_text()
+        assert "# scheme=exponential slope=nan intercept=nan seed=99" in text
+
     def test_worker_count_preserves_bytes(self, tmp_path):
         cfg = write(tmp_path / "c.txt", BASE)
         main(["converge", "--config", cfg, "--out", str(tmp_path / "w1"), "--workers", "1"])
@@ -339,6 +364,10 @@ class TestCheck:
 
     def test_unmatched_filter_fails(self, capsys):
         assert main(["check", "--filter", "nosuchmodule"]) == 1
+
+    def test_negative_seed_is_a_config_error(self, capsys):
+        assert main(["check", "--filter", "noise", "--seed", "-1"]) == 2
+        assert "--seed" in capsys.readouterr().err
 
 
 class TestSvg:

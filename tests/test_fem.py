@@ -125,11 +125,6 @@ class TestAssembly:
 
 
 class TestProjections:
-    def test_l2_fixes_interior_vectors(self):
-        ops = assemble(16)
-        v = np.sin(2.3 * ops.x[1:-1])
-        assert np.array_equal(l2_project(ops, v), v)
-
     def test_l2_of_zero(self):
         ops = assemble(8)
         out = l2_project(ops, lambda x: np.zeros_like(x))
@@ -161,12 +156,6 @@ class TestProjections:
             errs.append(np.sqrt(np.sum(w * (vals - np.sin(np.pi * x)) ** 2)))
         for a, b in zip(errs, errs[1:]):
             assert 3.0 < a / b < 5.0
-
-    def test_ritz_fixes_interior_vectors(self):
-        ops = assemble(12)
-        hat = np.zeros(ops.modes)
-        hat[4] = 1.0
-        assert np.array_equal(ritz_project(ops, hat), hat)
 
     def test_ritz_of_sine_is_nodal_interpolation(self):
         ops = assemble(8)

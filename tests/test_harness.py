@@ -4,13 +4,14 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from savwave import checks, fem, harness, noise, schemes, spectral
+from savwave import checks, fem, harness, model, noise, schemes, spectral
 from savwave.checks import invariant_suite
 from savwave.harness import (
     AuxGapStudy,
@@ -40,6 +41,13 @@ class TestFitLoglog:
         slope, intercept = fit_loglog(x, 3.0 * x**1.5)
         assert slope == pytest.approx(1.5, abs=1e-12)
         assert 2.0**intercept == pytest.approx(3.0, rel=1e-12)
+
+    @pytest.mark.parametrize("x, y", [([], []), ([0.5], [0.25]), ([0.5, 0.25], [1.0, 0.0])])
+    def test_fewer_than_two_points_or_a_zero_give_nan(self, x, y):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a degree-1 polyfit of one point warns
+            slope, intercept = fit_loglog(x, y)
+        assert np.isnan(slope) and np.isnan(intercept)
 
 
 class TestStrongConvergence:
@@ -509,6 +517,21 @@ class TestInvariantSuite:
         results = invariant_suite(name_filter="spectral")
         assert results
         assert all(r.name.startswith("spectral") for r in results)
+
+    def test_checks_synthesize_batches_only(self, monkeypatch):
+        # the checks synthesize (B, K) batches, as every production path does
+        nodal = model.Discretization.nodal
+        lone = []
+
+        def recording(self, coeffs):
+            if coeffs.ndim < 2:
+                lone.append(coeffs.shape)
+            return nodal(self, coeffs)
+
+        monkeypatch.setattr(model.Discretization, "nodal", recording)
+        for prefix in ("spectral", "model", "fem"):
+            assert all(r.passed for r in invariant_suite(name_filter=prefix))
+        assert lone == []
 
     def test_pencil_residual_sees_a_perturbed_eigenvalue(self, monkeypatch):
         assemble = checks.fem_mod.assemble

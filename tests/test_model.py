@@ -175,16 +175,7 @@ BACKENDS = {"spectral": spectral_discretization, "fem": lambda k: assemble(k + 1
 
 
 class TestNodal:
-    """Discretization.nodal: synth @ c for one vector, the C-ordered synth.T for a batch."""
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("modes", [32, 64])
-    def test_one_vector_is_the_gemv_of_synth(self, backend, modes):
-        ops = BACKENDS[backend](modes)
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            c = rng.standard_normal(modes)
-            assert np.array_equal(ops.nodal(c), ops.synth @ c)
+    """Discretization.nodal: a batch (..., B, K) times the C-ordered synth.T."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_batch_multiplies_a_c_ordered_transpose(self, backend):
@@ -195,7 +186,7 @@ class TestNodal:
         assert np.allclose(ops.nodal(c), c @ ops.synth.T, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("shape", [(16,), (5, 16)])
+    @pytest.mark.parametrize("shape", [(1, 16), (5, 16)])
     def test_replaced_synth_reaches_nodal(self, backend, shape):
         ops = BACKENDS[backend](16)
         c = np.random.default_rng(7).standard_normal(shape)

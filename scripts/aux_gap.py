@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from savwave.cli import write_csv
+from savwave.cli import seed_arg, write_csv
 from savwave.harness import AuxGapStudy, aux_gap_scaling
 from savwave.schemes import SCHEMES
 
@@ -14,7 +14,7 @@ from savwave.schemes import SCHEMES
 def main():
     p = argparse.ArgumentParser(description=__doc__)
     p.add_argument("--out", type=Path, default=Path("results"))
-    p.add_argument("--seed", type=int, default=12345)
+    p.add_argument("--seed", type=seed_arg, default=12345)
     p.add_argument("--workers", type=int, default=4)
     p.add_argument("--scheme", default="exponential", choices=tuple(SCHEMES))
     args = p.parse_args()

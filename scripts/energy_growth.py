@@ -11,14 +11,14 @@ from pathlib import Path
 
 import numpy as np
 
-from savwave.cli import svg_plot, write_csv
+from savwave.cli import seed_arg, svg_plot, write_csv
 from savwave.harness import EnergyStudy, energy_evolution
 
 
 def parse_args():
     p = argparse.ArgumentParser(description=__doc__)
     p.add_argument("--out", type=Path, default=Path("results"))
-    p.add_argument("--seed", type=int, default=12345)
+    p.add_argument("--seed", type=seed_arg, default=12345)
     p.add_argument("--workers", type=int, default=4)
     p.add_argument("--paper-scale", action="store_true")
     p.add_argument("--svg", action="store_true")

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import fem as fem_mod
 from .harness import ConvergenceStudy, _batched_initial, fit_loglog, strong_convergence
-from .model import make_problem, spectral_discretization
+from .model import ModelViolationError, make_problem, spectral_discretization
 from .noise import CovarianceSpec, RngStream, power_covariance
 from .schemes import (
     SCHEMES,
@@ -563,17 +563,23 @@ def invariant_suite(name_filter=None, seed=20260810, mutations=frozenset()):
 
     `mutations` deliberately breaks the named pieces (currently
     'unbalanced_table') so the corresponding checks must fail; this guards the
-    suite itself against vacuous passes.
+    suite itself against vacuous passes.  A check whose run aborts with
+    `ModelViolationError` or `BlowUpError` is a failed result that names the
+    exception, not an exception out of the suite.
     """
     rng = np.random.default_rng(seed)
     results = []
     for name, fn in _CHECKS:
         if name_filter and not name.startswith(name_filter):
             continue
-        if name in ("schemes.pathwise_energy", "fem.pathwise_energy"):
-            res = fn(rng, seed, mutations=frozenset(mutations))
-        else:
-            res = fn(rng, seed)
+        try:
+            if name in ("schemes.pathwise_energy", "fem.pathwise_energy"):
+                res = fn(rng, seed, mutations=frozenset(mutations))
+            else:
+                res = fn(rng, seed)
+        except (ModelViolationError, BlowUpError) as exc:
+            res = CheckResult(name, float("nan"), "no abort", False,
+                              f"{type(exc).__name__}: {exc}")
         if not res.passed:
             res = replace(res, detail=(res.detail + f" [seed {seed}]").strip())
         results.append(res)

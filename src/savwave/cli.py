@@ -4,8 +4,8 @@ Configuration is a flat key = value text file with dotted section keys
 (the schema is _KEYMAP, defaults live on RunConfig); command-line flags
 override seed, output directory, worker count, and scale.  CSV cells carry 17 significant digits
 and runs are byte-reproducible for a fixed (config, seed) regardless of
---workers.  Exit codes: 0 success, 1 check failure, 2 config error,
-3 numerical abort.
+--workers at one BLAS thread per process.  Exit codes: 0 success, 1 check
+failure, 2 config error, 3 numerical abort.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from . import fem as fem_mod
-from .checks import invariant_suite
 from .harness import (
     ConvergenceStudy,
     EnergyStudy,
@@ -52,6 +51,14 @@ def _parse_int(text):
 
 def _parse_str(text):
     return text.strip()
+
+
+def seed_arg(text):
+    """argparse type of a master seed: a non-negative integer, as numpy's SeedSequence needs."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"invalid value: {seed} (must be >= 0)")
+    return seed
 
 
 def _parse_int_tuple(text):
@@ -434,6 +441,8 @@ def cmd_energy(config, out_dir, svg=False, workers=1, paper_scale=False):
 
 
 def cmd_check(name_filter=None, seed=20260810, mutations=()):
+    from .checks import invariant_suite
+
     results = invariant_suite(name_filter=name_filter, seed=seed,
                               mutations=frozenset(mutations))
     if not results:

@@ -23,7 +23,6 @@ element solutions evaluated on the fine grid one block of points at a time.
 from __future__ import annotations
 
 import ctypes
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -255,6 +254,13 @@ def _map_chunks(fn, study, modes, workers, keys=(None,), stack=1):
     if workers <= 1 or len(tasks) <= 1:
         parts = [fn(*task) for task in tasks]
     else:
+        # Imported here, so an in-process run never loads multiprocessing.
+        # numpy.random (which maps OpenSSL through secrets -> hmac) loads
+        # once, before the fork, rather than again in every worker.
+        from concurrent.futures import ProcessPoolExecutor
+
+        import numpy.random  # noqa: F401
+
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks)),
                                  initializer=_one_blas_thread) as pool:
             parts = list(pool.map(fn, *zip(*tasks)))

@@ -8,7 +8,7 @@ import pytest
 from savwave import fem
 from savwave.cli import ConfigError, RunConfig, _trajectory, load_config, main, svg_plot
 from savwave.harness import _batched_initial
-from savwave.model import spectral_discretization
+from savwave.model import Problem, spectral_discretization
 from savwave.noise import RngStream, increments
 from savwave.schemes import Integrator
 
@@ -361,6 +361,19 @@ class TestCheck:
         assert main(["check", "--filter", "schemes", "--mutate", "unbalanced-table"]) == 1
         out = capsys.readouterr().out
         assert "[FAIL] schemes.pathwise_energy" in out
+
+    def test_radicand_below_the_floor_is_a_failed_check(self, monkeypatch, capsys):
+        drift_values = Problem.drift_values
+
+        def shifted(self, u, out=None):  # F~ - 2 takes F(u) + delta0 below zero
+            f, F = drift_values(self, u, out)
+            return f, F - 2.0
+
+        monkeypatch.setattr(Problem, "drift_values", shifted)
+        assert main(["check", "--filter", "model"]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] model.radicand_floor" in out
+        assert "ModelViolationError" in out
 
     def test_unmatched_filter_fails(self, capsys):
         assert main(["check", "--filter", "nosuchmodule"]) == 1

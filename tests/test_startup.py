@@ -6,6 +6,11 @@ the finite element backend, whose eigenpairs are in closed form, must not
 load scipy.linalg at all.  Checked in a fresh interpreter, since this test
 process has loaded both already.
 
+The CLI and the harness load neither the invariant checks, the process
+pool nor numpy.random until a command uses them, and a pool forks its
+workers with numpy.random (and the OpenSSL it maps) already loaded, so no
+worker loads it again.
+
 Every name a module lists in `__all__` must resolve, so deleting a function
 leaves no stale export.  The package itself exports only `__version__`;
 callers import the submodules.
@@ -41,13 +46,39 @@ print(json.dumps({"loaded": loaded, "pencil": pencil, "tail": tail}))
 """
 
 
-def run_probe():
+LAZY_PROBE = """
+import json, os, sys
+import savwave.cli, savwave.harness
+from savwave.harness import EnergyStudy, _map_chunks
+
+LAZY = ("savwave.checks", "concurrent.futures.process", "numpy.random")
+at_import = [m for m in LAZY if m in sys.modules]
+parent = os.getpid()
+
+
+def task(key, first, stop):
+    found = [m for m in ("numpy.random", "_hashlib") if m in sys.modules]
+    return [(os.getpid() != parent, found)] * (stop - first)
+
+
+parts = _map_chunks(task, EnergyStudy(realizations=2, chunk=1), 4, 2, keys=("a", "b"))
+print(json.dumps({"at_import": at_import, "tasks": [c for part in parts for c in part]}))
+"""
+
+
+def run_probe(code=PROBE):
     env = dict(os.environ)
     src = str(Path(savwave.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    out = subprocess.run([sys.executable, "-c", PROBE], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
     return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def test_cli_and_harness_defer_checks_pool_and_rng_and_workers_fork_with_rng_loaded():
+    probe = run_probe(LAZY_PROBE)
+    assert probe["at_import"] == []
+    assert probe["tasks"] == [[True, ["numpy.random", "_hashlib"]]] * 4
 
 
 def test_import_loads_no_scipy_linalg_or_special_and_deferred_imports_work():

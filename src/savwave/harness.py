@@ -47,13 +47,20 @@ __all__ = [
 
 
 def fit_loglog(x, y):
-    """Least-squares slope and intercept of log2(y) on log2(x); NaN for < 2 points or a y <= 0."""
+    """Least-squares slope and intercept of log2(y) on log2(x); NaN for < 2 points or a y <= 0.
+
+    The normal equations in closed form on centred abscissae, not np.polyfit:
+    its `lstsq` maps LAPACK into a process that otherwise never touches it.
+    """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.size < 2 or np.any(y <= 0):
         return float("nan"), float("nan")
-    slope, intercept = np.polyfit(np.log2(x), np.log2(y), 1)
-    return float(slope), float(intercept)
+    lx, ly = np.log2(x), np.log2(y)
+    mx, my = lx.mean(), ly.mean()
+    dx = lx - mx
+    slope = np.dot(dx, ly - my) / np.dot(dx, dx)
+    return float(slope), float(my - slope * mx)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ Monte Carlo results never depend on scheduling.
 
 Every trajectory draws through `increments`, which streams a batch of
 paths window by window: a Monte Carlo chunk holds one window of
-`_NORMALS_PER_DRAW` (2048) normals per path whatever its step count, and
+`_NORMALS_PER_DRAW` (1024) normals per path whatever its step count, and
 row b of step n is the n-th K-draw of stream b scaled by sqrt(q * tau),
 whatever the window.  Convergence studies draw through
 `coupled_increments`, whose coarse increments are in-order sums of the
@@ -102,10 +102,11 @@ class RngStream:
 
 
 # Normals per stream per window in `increments`: Philox `standard_normal`
-# runs at its bulk rate from 2048 normals per call (17.6 ns per normal, 17.8
-# at 4096; best of 9, 2-core AVX-512 Xeon, numpy 2.4), and a window of the
-# B = 125, K = 256 energy benchmark takes 2 MiB where 4096 took 4 MiB.
-_NORMALS_PER_DRAW = 2048
+# costs 17.3 ns per normal at 1024 normals per call, 17.0 at 2048 and 18.4 at
+# 512 (best of 15 interleaved rounds, 2-core AVX-512 Xeon, numpy 2.4), and a
+# window of the B = 125, K = 256 energy benchmark takes 1 MiB where 2048 took
+# 2 MiB.
+_NORMALS_PER_DRAW = 1024
 
 
 def increments(cov, tau, n_steps, streams):

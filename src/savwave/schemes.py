@@ -189,10 +189,12 @@ def _step_inputs(state, dw, problem, ops, u_hat):
     return drift, g_inc, g_vals
 
 
-def _diagnostics(problem, ops, state, new_u, new_v, new_q, g_inc, denom, trace_fn, g_vals,
+def _diagnostics(problem, ops, state, new_u, new_v, new_q, v_dot_g, g_sq, trace, denom,
                  energy_sum):
     """(new state carrying nodal u_{n+1}, F(u_{n+1}) + delta0, f(u_{n+1}) and V, StepDiagnostics).
 
+    v_dot_g = <v_n, G_n> and g_sq = |G_n|^2 are the energy law's noise terms,
+    taken by the caller so that G_n is released before u_{n+1} is synthesized.
     V_n is read from the state's cache when a previous step left it there.
     """
     lam = ops.lam
@@ -200,17 +202,13 @@ def _diagnostics(problem, ops, state, new_u, new_v, new_q, g_inc, denom, trace_f
     # modified_energy's sum order: V = h + q^2 and V1 = h + F share h.
     h = 0.5 * _dot(lam * new_u, new_u) + 0.5 * _dot(new_v, new_v)
     v_new = h + new_q**2
-    residual = v_new - v_old - _dot(state.v, g_inc) - 0.5 * _dot(g_inc, g_inc)
+    residual = v_new - v_old - v_dot_g - 0.5 * g_sq
     vals_new = ops.nodal(new_u)
     f_vals_new, F_new = problem.drift_values(vals_new)
     rad_new = radicand(F_new, problem, ops)
     f_new = rad_new - problem.delta0
     aux_gap = np.abs(np.sqrt(rad_new) - new_q)
     v1 = h + f_new
-    if trace_fn is None:
-        trace = np.full(np.shape(new_q), np.nan)
-    else:
-        trace = trace_fn(g_vals)
     new_state = SavState(new_u, new_v, new_q, state.n + 1, vals_new, rad_new, f_vals_new,
                          v_new, energy_sum)
     return new_state, StepDiagnostics(
@@ -252,6 +250,13 @@ def step_exponential_sav(
     (carried on the returned state), and only when that exceeds
     ENERGY_GUARD/2, inf and NaN included, are u, v and q scanned entry by
     entry for a non-finite value.
+
+    A diagnostics step takes the energy law's pre-step terms <v_n, G_n>,
+    |G_n|^2 and the trace term right after the update, then drops the
+    update's scratch arrays, the [b; G] coefficients and g(u_n).  While it
+    synthesizes u_{n+1} and evaluates the drift there it holds, beside the
+    input state, only u_{n+1}, v_{n+1} and three nodal arrays: u_{n+1} and
+    the two that the drift pair is evaluated into.
     """
     u, v, q = state.u, state.v, state.q
     b, g_inc, g_vals = _step_inputs(state, dw, problem, ops, u_hat)
@@ -295,8 +300,14 @@ def step_exponential_sav(
         _check_finite(new_u, new_v, new_q, state.n)
     if not diagnostics:
         return SavState(new_u, new_v, new_q, state.n + 1, energy_sum=energy_sum), None
+    # Release what the diagnostics do not need before they synthesize u_{n+1}.
+    del tmp, a1b, qa1b
+    v_dot_g = _dot(v, g_inc)
+    g_sq = _dot(g_inc, g_inc)
+    trace = np.full(np.shape(new_q), np.nan) if trace_fn is None else trace_fn(g_vals)
+    del b, g_inc, g_vals
     return _diagnostics(
-        problem, ops, state, new_u, new_v, new_q, g_inc, denom, trace_fn, g_vals, energy_sum
+        problem, ops, state, new_u, new_v, new_q, v_dot_g, g_sq, trace, denom, energy_sum
     )
 
 
@@ -379,18 +390,19 @@ class Integrator:
         self.problem = problem
         self.ops = ops
         self.state = state
-        self.predictor = predictor
         self.trace_fn = trace_fn
-        self.u_prev = state.u.copy()
+        # The extrapolation predictor's memory u_{n-1}; the identity predictor keeps none.
+        self.u_prev = state.u.copy() if predictor == "extrapolation" else None
         tables = [SCHEMES[name](ops.lam, tau) for name in names]
         self.table = tables[0] if isinstance(scheme, str) else WaveGroupTable(tables[0].tau, *(
             np.stack([getattr(t, f) for t in tables])[:, None]
             for f in ("lam", "cos", "sin", "sqrt_lam", "a1", "a2")))
 
     def step(self, dw, diagnostics=False):
-        u = self.state.u
-        u_hat = u if self.predictor == "identity" else 0.5 * (3.0 * u - self.u_prev)
-        self.u_prev = u
+        u = u_hat = self.state.u
+        if self.u_prev is not None:
+            u_hat = 0.5 * (3.0 * u - self.u_prev)
+            self.u_prev = u
         self.state, diag = step_exponential_sav(
             self.state, dw, self.table, self.problem, self.ops,
             u_hat=u_hat, diagnostics=diagnostics, trace_fn=self.trace_fn,
@@ -430,6 +442,7 @@ class Integrator:
                 np.where(bad, np.sqrt(self.problem.delta0), self.state.q),
                 self.state.n,
             )
-            self.u_prev = np.where(keep, self.u_prev, 0.0)
+            if self.u_prev is not None:
+                self.u_prev = np.where(keep, self.u_prev, 0.0)
         return excluded
 

@@ -11,6 +11,7 @@ outside a stepper drops it, and how many transforms and pointwise maps a step
 costs.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -400,6 +401,54 @@ def test_path_a_step_drives_above_the_guard_is_parked(scheme, kick):
     assert v[1] > ENERGY_GUARD and (v[1] == np.inf) == (kick == 1e160)
     assert excluded.tolist() == [False, True, False, False, False]
     assert np.all(integ.state.u[1] == 0.0)
+
+
+@pytest.mark.parametrize("predictor", PREDICTORS)
+def test_sanitize_parks_a_bad_path_for_either_predictor(predictor):
+    # Only the extrapolation predictor keeps u_{n-1}; sanitize parks its row
+    # too, and the next step runs on the parked state.
+    problem, ops, state, cmap = setup("spectral")
+    integ = Integrator("exponential", TAU, problem, ops, state, predictor)
+    assert (integ.u_prev is None) == (predictor == "identity")
+    dws = increments(problem, cmap, 2)
+    dws[0][1] *= 1e8
+    with np.errstate(over="ignore"):
+        integ.step(dws[0])
+        excluded = integ.sanitize(np.zeros(BATCH, dtype=bool))
+    assert excluded.tolist() == [False, True, False, False, False]
+    assert np.all(integ.state.u[1] == 0.0)
+    if predictor == "identity":
+        assert integ.u_prev is None
+    else:
+        assert np.all(integ.u_prev[1] == 0.0) and np.all(integ.u_prev[0] == state.u[0])
+    integ.step(dws[1])
+    assert np.isfinite(integ.energy()).all()
+
+
+def test_diagnostics_step_releases_its_inputs_before_the_new_synthesis():
+    # From a cached state (f = g = sine, the trace term on), one diagnostics
+    # step's traced peak above its starting live set: the new state and the
+    # drift pair at u_{n+1} come to about 4.5 arrays of shape (B, 2K + 1).
+    # Holding the update's scratch arrays, the [b; G] coefficients and g(u_n)
+    # across the synthesis of u_{n+1} reads 7.7.
+    batch, modes = 32, 64
+    problem = make_problem(f="sine", g="sine", modes=modes)
+    ops = spectral_discretization(modes)
+    integ = Integrator("exponential", TAU, problem, ops, _batched_initial(problem, ops, batch),
+                       trace_fn=trace_operator(problem.noise, ops))
+    stream = RngStream(8, 0)
+    scale = np.sqrt(problem.noise.q * TAU)
+    dws = [stream.normals((batch, modes)) * scale for _ in range(3)]
+    integ.step(dws[0], diagnostics=True)
+    integ.step(dws[1], diagnostics=True)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        integ.step(dws[2], diagnostics=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 5 * batch * ops.x.size * 8
 
 
 @pytest.mark.parametrize("diagnostics", [False, True])

@@ -42,10 +42,23 @@ class TestFitLoglog:
         assert slope == pytest.approx(1.5, abs=1e-12)
         assert 2.0**intercept == pytest.approx(3.0, rel=1e-12)
 
-    @pytest.mark.parametrize("x, y", [([], []), ([0.5], [0.25]), ([0.5, 0.25], [1.0, 0.0])])
+    def test_closed_form_agrees_with_polyfit(self):
+        # Ladders shaped like the studies': five halvings of the step, errors
+        # of order tau^p with multiplicative noise.
+        rng = np.random.default_rng(2024)
+        for _ in range(200):
+            first = rng.integers(2, 10)
+            x = 2.0 ** -np.arange(first, first + 5)
+            y = rng.uniform(0.01, 4.0) * x ** rng.uniform(0.5, 2.0) * np.exp(
+                rng.normal(0.0, 0.1, x.size))
+            expect = np.polyfit(np.log2(x), np.log2(y), 1)
+            np.testing.assert_allclose(fit_loglog(x, y), expect, rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("x, y", [([], []), ([0.5], [0.25]), ([0.5, 0.25], [1.0, 0.0]),
+                                      ([0.5, 0.25, 0.125], [1.0, -0.5, 0.25])])
     def test_fewer_than_two_points_or_a_zero_give_nan(self, x, y):
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a degree-1 polyfit of one point warns
+            warnings.simplefilter("error")  # no log of a y <= 0, no fit of one point
             slope, intercept = fit_loglog(x, y)
         assert np.isnan(slope) and np.isnan(intercept)
 
@@ -188,7 +201,7 @@ class TestEnergyEvolution:
         assert np.all(dev[1:] <= 4.0 * np.maximum(res.stderr_V[1:], 1e-12))
 
     def test_chunk_memory_does_not_grow_with_steps(self):
-        # Noise is streamed through one window of ceil(2048/K) = 32 steps, so
+        # Noise is streamed through one window of ceil(1024/K) = 16 steps, so
         # 4x the steps must not raise the traced peak, and the peak stays
         # below 128 (batch, K) float arrays: the window, the state and the
         # step temporaries, and the K x K setup.

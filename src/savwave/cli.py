@@ -4,7 +4,7 @@ Configuration is a flat key = value text file with dotted section keys
 (the schema is _KEYMAP, defaults live on RunConfig); command-line flags
 override seed, output directory, worker count, and scale.  CSV cells carry 17 significant digits
 and runs are byte-reproducible for a fixed (config, seed) regardless of
---workers at one BLAS thread per process.  Exit codes: 0 success, 1 check
+--workers and of the BLAS thread count.  Exit codes: 0 success, 1 check
 failure, 2 config error, 3 numerical abort.
 """
 

@@ -4,16 +4,22 @@ Realizations are the unit of parallelism.  Work is split into fixed-size
 chunks of consecutive realization indices; each chunk's partial result is a
 pure function of (study config, chunk index), and partial results are
 combined in chunk order, so the output is bit-identical no matter how many
-workers run the study.  A pool task steps a group of consecutive chunks as
-one (rows, modes) array, as many as keep its nodal arrays within
-`_GROUP_VALUES` values, in groups of equal size (`_groups`).  The groups
-depend on the study alone, never on the worker count, and sums stay per
-chunk, so grouping changes no summation order.  A convergence task steps
-all the schemes it compares on one (schemes, rows, modes) state, so each
-fine increment is drawn, synthesized and summed into the coarse ones once;
-its tasks are split by rows only.  A study sends every group, of every step
-size it compares, through one process pool.  Each task streams its noise
-through `noise.increments` (a convergence task through
+workers run the study, at any BLAS thread count.  A pool task steps a group
+of consecutive chunks as one (rows, modes) array, as many as keep its nodal
+arrays within `_GROUP_VALUES` values, in groups of equal size (`_groups`).
+The groups depend on the study alone, never on the worker count, and sums
+stay per chunk, so grouping changes no summation order.  A convergence task
+steps all the schemes it compares on one (schemes, rows, modes) state, so
+each fine increment is drawn, synthesized and summed into the coarse ones
+once; its tasks are split by rows only.  A study sends every group, of every
+step size it compares, through one process pool, whose workers run one BLAS
+thread each.  A study run in-process takes the process's OpenBLAS thread
+count as its budget and runs OpenBLAS at one thread meanwhile: at the mode
+counts where a row's GEMM bits do not depend on the rows around it, each
+sine-spectral task cuts its rows into up to that many contiguous slices
+(`_slices`), and each slice steps its own rows and streams on its own Python
+thread, so every row takes the bits it takes in a pool worker.  Each task
+streams its noise through `noise.increments` (a convergence task through
 `noise.coupled_increments`, which also sums the coarse increments), so it
 holds O(rows * modes) memory whatever its step count; a spatial task's
 terminal error arrays are O(rows * `_FINE_BLOCK`), its reference and its
@@ -23,8 +29,9 @@ element solutions evaluated on the fine grid one block of points at a time.
 from __future__ import annotations
 
 import ctypes
+import threading
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -203,28 +210,106 @@ def _chunk_sums(values, spans):
     return [np.sum(values[s]) for s in spans]
 
 
+@cache
+def _openblas():
+    """(get, set) thread-count functions of each OpenBLAS loaded in this process.
+
+    Read once from /proc/self/maps, so a library loaded later is not seen.
+    Empty when the maps cannot be read or no OpenBLAS is loaded: other BLAS
+    builds keep their own setting, and in-process studies then step on one
+    thread.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split()[-1] for line in maps if "openblas" in line})
+    except OSError:
+        return ()
+    found = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in (("openblas", ""), ("scipy_openblas", "64_"),
+                               ("scipy_openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                found.append((get, put))
+                break
+    return tuple(found)
+
+
+def _blas_threads():
+    """Thread count of each OpenBLAS in `_openblas`, in its order."""
+    return [get() for get, _ in _openblas()]
+
+
+def _set_blas_threads(counts):
+    """Set each OpenBLAS in `_openblas` to its entry of `counts`."""
+    for (_, put), n in zip(_openblas(), counts):
+        put(n)
+
+
 def _one_blas_thread():
     """Pool-worker initializer: one BLAS thread per worker.
 
     A group's transforms are big enough for OpenBLAS to thread them, and
-    workers that each do so outnumber the cores and spin.  Acts on every
-    OpenBLAS the process has loaded at pool start; other BLAS builds keep
-    their setting.
+    workers that each do so outnumber the cores and spin.
     """
-    try:
-        with open("/proc/self/maps") as maps:
-            paths = {line.split()[-1] for line in maps if "openblas" in line}
-    except OSError:
-        return
-    for path in paths:
-        lib = ctypes.CDLL(path)
-        for name in ("openblas_set_num_threads", "scipy_openblas_set_num_threads64_",
-                     "scipy_openblas_set_num_threads"):
-            setter = getattr(lib, name, None)
-            if setter is not None:
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                setter(1)
-                break
+    _set_blas_threads([1] * len(_openblas()))
+
+
+# Fewest rows of a slice, and the sine mode counts K at which slices are made
+# (`_slices`): there, at one BLAS thread, a slice's `nodal` and `project` rows
+# take the bits of the same rows of the whole task.  Measured with
+# scipy-openblas 0.3.31 against tasks of 4 to 250 rows: a slice of one row
+# differs at every K (numpy's matrix-vector path), and at K = 256 so does a
+# `project` of 2 to 7 rows (OpenBLAS's small-matrix kernel, taken at up to
+# 10^6 multiply-adds, sums the 513 terms in another order); from 8 rows on
+# every row agreed at each K of the set.  Elsewhere a row's bits can depend
+# on where it sits in the product: at K = 127, 129, 150, 255, 257 and 300,
+# slices of 8 to 125 rows differed even when cut at multiples of 48 rows, and
+# at K = 100 a `project` of up to 49 rows did.
+_SLICE_ROWS = 8
+_SLICE_MODES = frozenset({16, 32, 64, 128, 256, 512, 1024})
+
+
+def _slices(rows, threads, modes):
+    """At most `threads` contiguous row slices of a task of `rows` rows on `modes` sine modes.
+
+    One slice unless `modes` is in _SLICE_MODES, and none below _SLICE_ROWS rows.
+    """
+    n = max(1, min(threads, rows // _SLICE_ROWS)) if modes in _SLICE_MODES else 1
+    cuts = [j * rows // n for j in range(n + 1)]
+    return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+
+
+def _run_slices(body, slices, barrier=None):
+    """body(rows) for each slice: the first on this thread, each other on a thread of its own.
+
+    A slice that raises aborts `barrier`, so that no other slice waits on it
+    for ever; the first error in slice order other than that abort is raised
+    here, once every slice has ended.
+    """
+    errors = [None] * len(slices)
+
+    def run(i):
+        try:
+            body(slices[i])
+        except BaseException as exc:
+            errors[i] = exc
+            if barrier is not None:
+                barrier.abort()
+
+    others = [threading.Thread(target=run, args=(i,)) for i in range(1, len(slices))]
+    for thread in others:
+        thread.start()
+    run(0)
+    for thread in others:
+        thread.join()
+    for exc in errors:
+        if exc is not None and not isinstance(exc, threading.BrokenBarrierError):
+            raise exc
 
 
 def _groups(study, modes, stack=1):
@@ -249,17 +334,25 @@ def _groups(study, modes, stack=1):
 def _map_chunks(fn, study, modes, workers, keys=(None,), stack=1):
     """Every chunk of `study`, per key, as one list of chunk results in chunk order.
 
-    Each task calls fn(first, stop) or fn(key, first, stop) on a group of
-    consecutive chunks (`_groups`), which it steps as one array on the
-    dealiased grid of `modes` sine modes, `stack` schemes deep, and returns
-    one result per chunk.  The worker count plays no part in the groups.
-    All tasks share one pool, whose workers run one BLAS thread each.
+    Each task calls fn(first, stop, threads) or fn(key, first, stop, threads)
+    on a group of consecutive chunks (`_groups`), which it steps as one
+    array on the dealiased grid of `modes` sine modes, `stack` schemes deep,
+    in up to `threads` row slices, and returns one result per chunk.  The
+    worker count plays no part in the groups.  All tasks share one pool,
+    whose workers run one BLAS thread each and call fn without `threads`.
+    In-process tasks get the process's OpenBLAS thread count as `threads`,
+    and OpenBLAS runs one thread until they are done.
     """
     groups = _groups(study, modes, stack)
     n_chunks = groups[-1][1]
     tasks = [g if key is None else (key, *g) for key in keys for g in groups]
     if workers <= 1 or len(tasks) <= 1:
-        parts = [fn(*task) for task in tasks]
+        counts = _blas_threads()
+        _set_blas_threads([1] * len(counts))
+        try:
+            parts = [fn(*task, min(counts, default=1)) for task in tasks]
+        finally:
+            _set_blas_threads(counts)
     else:
         # Imported here, so an in-process run never loads multiprocessing.
         # numpy.random (which maps OpenSSL through secrets -> hmac) loads
@@ -279,7 +372,7 @@ def _map_chunks(fn, study, modes, workers, keys=(None,), stack=1):
 # Strong temporal convergence.
 
 
-def _convergence_chunk(study, first, stop=None):
+def _convergence_chunk(study, first, stop=None, threads=1):
     """Squared terminal errors (schemes, levels, rows) and exclusions (schemes, rows) per chunk.
 
     Every scheme steps on one stacked state, so each fine increment is drawn,
@@ -294,32 +387,37 @@ def _convergence_chunk(study, first, stop=None):
     n_fine = round(study.T / tau_ref)
     multiples = [2 ** (study.ref_exp - e) for e in study.tau_exps]
     n_schemes = len(study.schemes)
-
-    def stacked(schemes, tau):
-        return Integrator(schemes, tau, problem, ops,
-                          _batched_initial(problem, ops, (len(schemes), batch)), study.predictor)
-
-    ref = stacked((study.reference_scheme,) if study.reference_scheme else study.schemes, tau_ref)
-    levels = [stacked(study.schemes, 2.0**-e) for e in study.tau_exps]
+    sq_errors = np.empty((n_schemes, len(multiples), batch))
     excluded = np.zeros((n_schemes, batch), dtype=bool)
 
-    for dw, done in coupled_increments(problem.noise, tau_ref, n_fine, streams, multiples):
-        ref.step(dw)
-        excluded = ref.sanitize(excluded)
-        for i, coarse in done:
-            levels[i].step(coarse)
-            excluded = levels[i].sanitize(excluded)
+    def step_rows(rows):
+        def stacked(schemes, tau):
+            return Integrator(schemes, tau, problem, ops,
+                              _batched_initial(problem, ops, (len(schemes), rows.stop - rows.start)),
+                              study.predictor)
 
-    sq_errors = np.empty((n_schemes, len(levels), batch))
-    for i, lvl in enumerate(levels):
-        du = ref.state.u - lvl.state.u
-        dv = ref.state.v - lvl.state.v
-        for s in range(n_schemes):  # 2-D row dots: a 3-D einsum sums in another order
-            if study.norm == "h":
-                sq_errors[s, i] = (np.einsum("bk,bk->b", ops.lam * du[s], du[s])
-                                   + np.einsum("bk,bk->b", dv[s], dv[s]))
-            else:
-                sq_errors[s, i] = np.einsum("bk,bk->b", du[s], du[s])
+        ref = stacked((study.reference_scheme,) if study.reference_scheme else study.schemes,
+                      tau_ref)
+        levels = [stacked(study.schemes, 2.0**-e) for e in study.tau_exps]
+        flags = excluded[:, rows]  # sanitize marks paths in place
+        for dw, done in coupled_increments(problem.noise, tau_ref, n_fine, streams[rows],
+                                           multiples):
+            ref.step(dw)
+            flags = ref.sanitize(flags)
+            for i, coarse in done:
+                levels[i].step(coarse)
+                flags = levels[i].sanitize(flags)
+        for i, lvl in enumerate(levels):
+            du = ref.state.u - lvl.state.u
+            dv = ref.state.v - lvl.state.v
+            for s in range(n_schemes):  # 2-D row dots: a 3-D einsum sums in another order
+                if study.norm == "h":
+                    sq_errors[s, i, rows] = (np.einsum("bk,bk->b", ops.lam * du[s], du[s])
+                                             + np.einsum("bk,bk->b", dv[s], dv[s]))
+                else:
+                    sq_errors[s, i, rows] = np.einsum("bk,bk->b", du[s], du[s])
+
+    _run_slices(step_rows, _slices(batch, threads, study.modes))
     return [(sq_errors[..., s], excluded[:, s]) for s in spans]
 
 
@@ -367,28 +465,57 @@ def strong_convergence(study, workers=1):
 # Energy evolution.
 
 
-def _energy_chunk(study, first, stop=None):
+# Steps per fold of an energy task's per-row values into its chunk sums: the
+# slices write V and the trace term of their rows into a (steps, rows) buffer,
+# and the last slice to end a block of this many steps folds it.
+_FOLD_STEPS = 64
+
+
+def _energy_chunk(study, first, stop=None, threads=1):
     streams, spans = _group(study, first, stop)
     batch = len(streams)
     problem = _problem(study, study.modes)
     ops = spectral_discretization(study.modes)
     n_steps = round(study.T / study.tau)
     trace_fn = trace_operator(problem.noise, ops)
-    integ = Integrator(
-        study.scheme, study.tau, problem, ops,
-        _batched_initial(problem, ops, batch), study.predictor, trace_fn=trace_fn,
-    )
+    block = min(_FOLD_STEPS, n_steps)
+    v0 = np.empty(batch)
+    rows_v = np.empty((block, batch))  # V_{n+1} of step n
+    rows_trace = np.empty((block, batch))  # the trace term of step n
     sum_v = np.zeros((len(spans), n_steps + 1))
     sum_v2 = np.zeros((len(spans), n_steps + 1))
     sum_trace = np.zeros((len(spans), n_steps))
-    v = integ.energy()
-    sum_v[:, 0] = _chunk_sums(v, spans)
-    sum_v2[:, 0] = _chunk_sums(v**2, spans)
-    for n, dw in enumerate(increments(problem.noise, study.tau, n_steps, streams)):
-        diag = integ.step(dw, diagnostics=True)
-        sum_v[:, n + 1] = _chunk_sums(diag.V, spans)
-        sum_v2[:, n + 1] = _chunk_sums(diag.V**2, spans)
-        sum_trace[:, n] = _chunk_sums(diag.trace_term, spans)
+    folded = 0
+
+    def fold():
+        nonlocal folded
+        lo, hi = folded, min(folded + block, n_steps)
+        for c, s in enumerate(spans):
+            v = rows_v[:hi - lo, s]
+            sum_v[c, lo + 1:hi + 1] = np.sum(v, axis=1)
+            sum_v2[c, lo + 1:hi + 1] = np.sum(v**2, axis=1)
+            sum_trace[c, lo:hi] = np.sum(rows_trace[:hi - lo, s], axis=1)
+        folded = hi
+
+    def step_rows(rows):
+        integ = Integrator(
+            study.scheme, study.tau, problem, ops,
+            _batched_initial(problem, ops, rows.stop - rows.start), study.predictor,
+            trace_fn=trace_fn,
+        )
+        v0[rows] = integ.energy()
+        for n, dw in enumerate(increments(problem.noise, study.tau, n_steps, streams[rows])):
+            diag = integ.step(dw, diagnostics=True)
+            rows_v[n % block, rows] = diag.V
+            rows_trace[n % block, rows] = diag.trace_term
+            if (n + 1) % block == 0 or n + 1 == n_steps:
+                barrier.wait()
+
+    slices = _slices(batch, threads, study.modes)
+    barrier = threading.Barrier(len(slices), action=fold)
+    _run_slices(step_rows, slices, barrier)
+    sum_v[:, 0] = _chunk_sums(v0, spans)
+    sum_v2[:, 0] = _chunk_sums(v0**2, spans)
     return list(zip(sum_v, sum_v2, sum_trace))
 
 
@@ -439,21 +566,26 @@ def energy_evolution(study, workers=1):
 # Auxiliary-variable gap scaling.
 
 
-def _aux_gap_chunk(study, tau_exp, first, stop=None):
+def _aux_gap_chunk(study, tau_exp, first, stop=None, threads=1):
     streams, spans = _group(study, first, stop)
     batch = len(streams)
     problem = _problem(study, study.modes)
     ops = spectral_discretization(study.modes)
     tau = 2.0**-tau_exp
     n_steps = round(study.T / tau)
-    integ = Integrator(
-        study.scheme, tau, problem, ops,
-        _batched_initial(problem, ops, batch), study.predictor,
-    )
     max_gap = np.zeros(batch)
-    for dw in increments(problem.noise, tau, n_steps, streams):
-        diag = integ.step(dw, diagnostics=True)
-        max_gap = np.maximum(max_gap, diag.aux_gap)
+
+    def step_rows(rows):
+        integ = Integrator(
+            study.scheme, tau, problem, ops,
+            _batched_initial(problem, ops, rows.stop - rows.start), study.predictor,
+        )
+        gap = max_gap[rows]
+        for dw in increments(problem.noise, tau, n_steps, streams[rows]):
+            diag = integ.step(dw, diagnostics=True)
+            np.maximum(gap, diag.aux_gap, out=gap)
+
+    _run_slices(step_rows, _slices(batch, threads, study.modes))
     return _chunk_sums(max_gap, spans)
 
 
@@ -494,7 +626,10 @@ def aux_gap_scaling(study, workers=1):
 _FINE_BLOCK = 256
 
 
-def _spatial_chunk(study, first, stop=None):
+def _spatial_chunk(study, first, stop=None, threads=1):
+    # One slice whatever `threads`: the FEM noise maps (dW @ cmap.T, ref_modes
+    # terms into E + 1 columns) give a row other bits in a slice than in the
+    # whole task at most row counts (OpenBLAS's small-matrix kernel).
     streams, spans = _group(study, first, stop)
     batch = len(streams)
     kref = study.ref_modes

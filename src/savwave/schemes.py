@@ -162,12 +162,12 @@ def _step_inputs(state, dw, problem, ops, u_hat):
     (Problem.drift_values); a diffusion that is the drift (Problem.g_is_f,
     e.g. f = g = sine) takes f's values of u.  Both analyses share one
     `project` call on [f; g*dW]; a drift pair evaluated here writes f straight
-    into that buffer.
+    into that buffer.  Nodal u_hat is released before dW is synthesized, and
+    nodal dW once it is multiplied into the buffer.
     """
     u = state.u
     vals = ops.nodal(u) if state.vals is None else state.vals
-    dw_vals = ops.nodal(dw)
-    shape = np.broadcast(vals, dw_vals).shape
+    shape = np.broadcast_shapes(vals.shape, dw.shape[:-1] + vals.shape[-1:])
     stacked = np.empty((2,) + shape)
     f_u, rad = state.fvals, state.rad
     if u_hat is None or u_hat is u:
@@ -182,7 +182,7 @@ def _step_inputs(state, dw, problem, ops, u_hat):
         if problem.g_is_f and f_u is None:
             f_u = problem.drift_values(vals)[0]
     g_vals = f_u if problem.g_is_f else problem.g(vals)
-    np.multiply(g_vals, dw_vals, out=stacked[1])
+    np.multiply(g_vals, ops.nodal(dw), out=stacked[1])
     coeffs = ops.project(stacked.reshape(-1, shape[-1]))
     drift, g_inc = coeffs.reshape((2,) + shape[:-1] + coeffs.shape[-1:])
     drift /= np.sqrt(rad)[..., None]

@@ -1,6 +1,10 @@
+import os
+import subprocess
+import sys
 import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -348,6 +352,32 @@ class TestEnergy:
                          for l in lines[1:] if not l.startswith("#")])
         assert np.max(np.abs(data[:, 2] - data[0, 2])) <= 1e-10
         assert np.max(np.abs(data[:, 2] - data[:, 4])) <= 1e-12
+
+
+# Two 32-row tasks each.  At K = 256, OpenBLAS at 2 threads gives `project`
+# other bits than at 1, so the energy CSV differed between --workers 1 (in
+# process) and --workers 2 (pool workers at one BLAS thread) until in-process
+# tasks stepped row slices at one BLAS thread.
+WORKER_CONFIGS = {
+    "energy": "space.modes = 256\ntime.T = 2^-3\ntime.tau = 2^-8\n"
+              "mc.realizations = 64\nmc.chunk = 32\n",
+    "converge": "space.modes = 64\ntime.T = 2^-2\nconverge.tau_exps = 4 5\n"
+                "converge.ref_exp = 7\nmc.realizations = 64\nmc.chunk = 32\n",
+}
+
+
+@pytest.mark.parametrize("command", sorted(WORKER_CONFIGS))
+def test_worker_count_preserves_bytes_at_two_blas_threads(tmp_path, command):
+    cfg = write(tmp_path / "c.txt", WORKER_CONFIGS[command])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+    src = str(Path(fem.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    for workers in ("1", "2"):
+        subprocess.run([sys.executable, "-m", "savwave", command, "--config", cfg,
+                        "--out", str(tmp_path / workers), "--workers", workers],
+                       env=env, capture_output=True, timeout=300, check=True)
+    assert (tmp_path / "1" / f"{command}.csv").read_bytes() == \
+           (tmp_path / "2" / f"{command}.csv").read_bytes()
 
 
 class TestCheck:

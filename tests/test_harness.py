@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -28,6 +29,16 @@ from savwave.harness import (
 )
 from savwave.model import make_problem, spectral_discretization, uniform_grid
 from savwave.noise import RngStream, power_covariance, trace_operator
+
+
+@pytest.fixture
+def one_blas_thread():
+    """OpenBLAS at one thread, as `_map_chunks` runs in-process tasks; restored afterwards."""
+    counts = harness._blas_threads()
+    harness._set_blas_threads([1] * len(counts))
+    yield
+    harness._set_blas_threads(counts)
+
 
 MINI = ConvergenceStudy(
     f="sine", g="sine", modes=16, T=0.5, tau_exps=(4, 5, 6), ref_exp=9,
@@ -213,6 +224,25 @@ class TestEnergyEvolution:
             tracemalloc.start()
             try:
                 _energy_chunk(study, 0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
+        assert peaks[1] < 128 * batch * modes * 8
+
+    def test_sliced_chunk_memory_does_not_grow_with_steps(self, one_blas_thread):
+        # The same bounds with the rows stepped in two slices: the slices fold
+        # their per-step values every `_FOLD_STEPS` steps, so no buffer holds
+        # a row per step of the study.
+        batch, modes = 32, 64
+        peaks = []
+        for T in (0.5, 2.0):  # 64 and 256 steps
+            study = EnergyStudy(f="sine", g="sine", modes=modes, T=T, tau=2.0**-7,
+                                realizations=batch, chunk=batch)
+            assert len(harness._slices(batch, 2, modes)) == 2
+            tracemalloc.start()
+            try:
+                _energy_chunk(study, 0, None, 2)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -410,6 +440,204 @@ def test_group_spans_are_relative_to_the_group():
     streams, spans = harness._group(study, 3, 5)
     assert len(streams) == 5
     assert spans == [slice(0, 3), slice(3, 5)]
+
+
+def _result_bytes(chunks):
+    """One bytes string of a chunk body's results: arrays, tuples of arrays or floats."""
+    return b"".join(np.asarray(part).tobytes()
+                    for chunk in chunks for part in (chunk if isinstance(chunk, tuple) else (chunk,)))
+
+
+# 24 rows in chunks of 5 (the last one short): two slices of 12 or three of 8,
+# and a chunk straddles every slice boundary.  The spatial task steps one slice.
+SLICED = {
+    "convergence": lambda threads: _convergence_chunk(
+        ConvergenceStudy(f="cubic", g="sine", modes=16, T=0.25, tau_exps=(4, 5), ref_exp=7,
+                         predictor="extrapolation", norm="h", realizations=24, seed=31, chunk=5),
+        0, 5, threads),
+    "energy": lambda threads: _energy_chunk(
+        EnergyStudy(f="sine", g="sine", modes=32, T=2.0**-2, tau=2.0**-6, realizations=24,
+                    seed=32, chunk=5),
+        0, 5, threads),
+    "aux_gap": lambda threads: harness._aux_gap_chunk(
+        AuxGapStudy(f="sine", g="sine", modes=32, T=2.0**-2, realizations=24, seed=33, chunk=5),
+        6, 0, 5, threads),
+    # Two 25-row slices of this task would change the FEM noise maps' bits.
+    "spatial": lambda threads: harness._spatial_chunk(
+        SpatialStudy(f="sine", g="sine", ref_modes=256, h_exps=(3, 4), T=2.0**-3, tau=2.0**-6,
+                     realizations=50, seed=34, chunk=25),
+        0, 2, threads),
+}
+
+
+class TestRowSlices:
+    # In-process tasks step up to `threads` row slices, one Python thread
+    # each, with OpenBLAS at one thread: every output bit must be the one
+    # of the whole task stepped at one thread, as a pool worker steps it.
+
+    @pytest.mark.parametrize("modes", sorted(harness._SLICE_MODES))
+    def test_a_floor_slice_takes_the_bits_of_the_whole_task(self, one_blas_thread, modes):
+        # A slice's own arrays against its rows of the whole task: `nodal` of
+        # coefficients, and `project` of the stacked [f; g dW] rows of a step.
+        ops = spectral_discretization(modes)
+        rows, nodes = harness._SLICE_ROWS, ops.x.size
+        rng = np.random.default_rng(modes)
+        for whole in (2 * rows, 125):
+            coeffs = rng.standard_normal((whole, modes))
+            values = rng.standard_normal((2, whole, nodes))
+            nodal = ops.nodal(coeffs)
+            coeffs_back = ops.project(values.reshape(-1, nodes)).reshape(2, whole, modes)
+            for lo in (0, whole // 2, whole - rows):
+                part = slice(lo, lo + rows)
+                assert ops.nodal(coeffs[part].copy()).tobytes() == nodal[part].tobytes()
+                got = ops.project(values[:, part].reshape(-1, nodes))
+                assert got.tobytes() == coeffs_back[:, part].tobytes()
+
+    def test_slices_cover_the_rows_and_none_is_below_the_floor(self):
+        for rows in range(1, 70):
+            for threads in (1, 2, 3, 4, 8):
+                slices = harness._slices(rows, threads, 64)
+                assert slices[0].start == 0 and slices[-1].stop == rows
+                assert all(a.stop == b.start for a, b in zip(slices, slices[1:]))
+                assert 1 <= len(slices) <= threads
+                if len(slices) > 1:  # never a one-row slice: its GEMMs take GEMV bits
+                    assert min(s.stop - s.start for s in slices) >= harness._SLICE_ROWS
+        assert len(harness._slices(125, 2, 256)) == 2  # energy-diag's tasks
+        assert len(harness._slices(2 * harness._SLICE_ROWS - 1, 2, 256)) == 1
+        # Outside the measured mode counts a row's bits may depend on its slice.
+        assert harness._slices(250, 4, 100) == [slice(0, 250)]
+        assert harness._slices(250, 4, 255) == [slice(0, 250)]
+
+    @pytest.mark.parametrize("body", sorted(SLICED))
+    def test_sliced_task_takes_the_bits_of_one_thread(self, one_blas_thread, monkeypatch, body):
+        whole = _result_bytes(SLICED[body](1))
+        # A fold every 5 of the energy task's 16 steps leaves a short last block.
+        monkeypatch.setattr(harness, "_FOLD_STEPS", 5)
+        for threads in (2, 3):
+            assert _result_bytes(SLICED[body](threads)) == whole
+
+    def test_in_process_tasks_get_the_blas_budget_and_restore_it(self, monkeypatch):
+        counts = harness._blas_threads()
+        if not counts:
+            pytest.skip("no OpenBLAS loaded")
+        seen = []
+        body = harness._aux_gap_chunk
+
+        def recording(*args):
+            seen.append((harness._blas_threads(), args[-1]))
+            return body(*args)
+
+        monkeypatch.setattr(harness, "_aux_gap_chunk", recording)
+        study = AuxGapStudy(f="sine", g="sine", modes=16, T=2.0**-3, tau_exps=(5,),
+                            realizations=4, chunk=2)
+        drift_values = model.Problem.drift_values
+
+        def shifted(self, u, out=None):  # F~ - 2 takes F(u) + delta0 below zero
+            f, F = drift_values(self, u, out)
+            return f, F - 2.0
+
+        harness._set_blas_threads([3] * len(counts))
+        try:
+            aux_gap_scaling(study)
+            assert harness._blas_threads() == [3] * len(counts)
+            with monkeypatch.context() as m:
+                m.setattr(model.Problem, "drift_values", shifted)
+                with pytest.raises(model.ModelViolationError):
+                    aux_gap_scaling(study)
+            assert harness._blas_threads() == [3] * len(counts)
+        finally:
+            harness._set_blas_threads(counts)
+        assert seen == [([1] * len(counts), 3)] * 2
+
+    def test_no_openblas_means_one_thread(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(harness, "_openblas", lambda: ())
+        harness._map_chunks(lambda first, stop, threads: seen.append(threads) or [None],
+                            EnergyStudy(realizations=2, chunk=2), 4, 1)
+        assert seen == [1]
+
+    def test_openblas_is_looked_up_once(self, monkeypatch):
+        opened = []
+
+        def counting_open(path, *args, **kwargs):
+            opened.append(path)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "open", counting_open, raising=False)
+        harness._openblas.cache_clear()
+        try:
+            harness._one_blas_thread()
+            counts = harness._blas_threads()
+            harness._set_blas_threads(counts)
+            harness._map_chunks(lambda first, stop, threads: [None],
+                                EnergyStudy(realizations=2, chunk=2), 4, 1)
+        finally:
+            monkeypatch.undo()
+            harness._openblas.cache_clear()
+        assert opened == ["/proc/self/maps"]
+
+
+def _off_the_caller(body, after):
+    """Run body() on a fresh caller thread; return (result or error, the caller, alive after 120 s).
+
+    `after(thread)` is called with the caller before it starts, for mutants
+    that act only on other threads.
+    """
+    out = {}
+
+    def call():
+        try:
+            out["result"] = body()
+        except BaseException as exc:  # noqa: BLE001 - handed to the test
+            out["result"] = exc
+
+    caller = threading.Thread(target=call, daemon=True)
+    after(caller)
+    caller.start()
+    caller.join(120)
+    return out.get("result"), caller.is_alive()
+
+
+@pytest.mark.parametrize("body", ["convergence", "energy", "aux_gap"])
+@pytest.mark.parametrize("error", ["radicand", "non-finite"])
+def test_an_error_in_another_slice_reaches_the_caller(one_blas_thread, monkeypatch, body, error):
+    # Mid-run, past the energy task's first fold: the calling slice may be
+    # waiting at the fold's barrier, which the failing slice must break.
+    monkeypatch.setattr(harness, "_FOLD_STEPS", 5)
+    calls = threading.local()
+    state = {}
+
+    def failing():
+        if threading.current_thread() is state["caller"]:
+            return False
+        calls.n = getattr(calls, "n", 0) + 1
+        return calls.n > 12
+
+    if error == "radicand":  # the radicand mutant of the CLI's check tests
+        drift_values = model.Problem.drift_values
+
+        def shifted(self, u, out=None):
+            f, F = drift_values(self, u, out)
+            return (f, F - 2.0) if failing() else (f, F)
+
+        monkeypatch.setattr(model.Problem, "drift_values", shifted)
+        expected = model.ModelViolationError
+    else:
+        step = schemes.Integrator.step
+
+        def poisoned(self, dw, diagnostics=False):
+            if failing():
+                dw = dw.copy()
+                dw[0, 0] = np.nan
+            return step(self, dw, diagnostics)
+
+        monkeypatch.setattr(schemes.Integrator, "step", poisoned)
+        expected = schemes.BlowUpError
+    with np.errstate(all="ignore"):
+        result, alive = _off_the_caller(lambda: SLICED[body](2),
+                                        lambda caller: state.update(caller=caller))
+    assert not alive
+    assert type(result) is expected
 
 
 class TestAuxGap:

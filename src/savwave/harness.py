@@ -12,16 +12,16 @@ stay per chunk, so grouping changes no summation order.  A convergence task
 steps all the schemes it compares on one (schemes, rows, modes) state, so
 each fine increment is drawn, synthesized and summed into the coarse ones
 once; its tasks are split by rows only.  A study sends every group, of every
-step size it compares, through one process pool, whose workers run one BLAS
-thread each.  A study run in-process takes the process's OpenBLAS thread
-count as its budget and runs OpenBLAS at one thread meanwhile: at the mode
-counts where a row's GEMM bits do not depend on the rows around it, each
-sine-spectral task cuts its rows into up to that many contiguous slices
-(`_slices`), and each slice steps its own rows and streams on its own Python
-thread, so every row takes the bits it takes in a pool worker.  Each task
-streams its noise through `noise.increments` (a convergence task through
-`noise.coupled_increments`, which also sums the coarse increments), so it
-holds O(rows * modes) memory whatever its step count; a spatial task's
+step size it compares, through one process pool.  Every study runs OpenBLAS
+at one thread, which the pool's workers inherit across the fork; a study
+run in-process takes the process's OpenBLAS thread count as its budget: at
+the mode counts where a row's GEMM bits do not depend on the rows around
+it, each sine-spectral task cuts its rows into up to that many contiguous
+slices (`_slices`), and each slice steps its own rows and streams on its
+own Python thread, so every row takes the bits it takes in a pool worker.
+Each task streams its noise through `noise.increments` (a convergence task
+through `noise.coupled_increments`, which also sums the coarse increments),
+so it holds O(rows * modes) memory whatever its step count; a spatial task's
 terminal error arrays are O(rows * `_FINE_BLOCK`), its reference and its
 element solutions evaluated on the fine grid one block of points at a time.
 """
@@ -221,7 +221,9 @@ def _openblas():
     """
     try:
         with open("/proc/self/maps") as maps:
-            paths = sorted({line.split()[-1] for line in maps if "openblas" in line})
+            # address perms offset dev inode pathname: the path may hold spaces.
+            paths = sorted({line.split(maxsplit=5)[-1].rstrip("\n").removesuffix(" (deleted)")
+                            for line in maps if "openblas" in line})
     except OSError:
         return ()
     found = []
@@ -248,15 +250,6 @@ def _set_blas_threads(counts):
     """Set each OpenBLAS in `_openblas` to its entry of `counts`."""
     for (_, put), n in zip(_openblas(), counts):
         put(n)
-
-
-def _one_blas_thread():
-    """Pool-worker initializer: one BLAS thread per worker.
-
-    A group's transforms are big enough for OpenBLAS to thread them, and
-    workers that each do so outnumber the cores and spin.
-    """
-    _set_blas_threads([1] * len(_openblas()))
 
 
 # Fewest rows of a slice, and the sine mode counts K at which slices are made
@@ -338,32 +331,33 @@ def _map_chunks(fn, study, modes, workers, keys=(None,), stack=1):
     on a group of consecutive chunks (`_groups`), which it steps as one
     array on the dealiased grid of `modes` sine modes, `stack` schemes deep,
     in up to `threads` row slices, and returns one result per chunk.  The
-    worker count plays no part in the groups.  All tasks share one pool,
-    whose workers run one BLAS thread each and call fn without `threads`.
-    In-process tasks get the process's OpenBLAS thread count as `threads`,
-    and OpenBLAS runs one thread until they are done.
+    worker count plays no part in the groups.  OpenBLAS runs one thread
+    until the tasks are done, also when one raises.  All tasks share one
+    pool, whose workers are forked with that setting and call fn without
+    `threads`.  In-process tasks get the process's OpenBLAS thread count.
     """
     groups = _groups(study, modes, stack)
     n_chunks = groups[-1][1]
     tasks = [g if key is None else (key, *g) for key in keys for g in groups]
-    if workers <= 1 or len(tasks) <= 1:
-        counts = _blas_threads()
-        _set_blas_threads([1] * len(counts))
-        try:
+    counts = _blas_threads()
+    _set_blas_threads([1] * len(counts))
+    try:
+        if workers <= 1 or len(tasks) <= 1:
             parts = [fn(*task, min(counts, default=1)) for task in tasks]
-        finally:
-            _set_blas_threads(counts)
-    else:
-        # Imported here, so an in-process run never loads multiprocessing.
-        # numpy.random (which maps OpenSSL through secrets -> hmac) loads
-        # once, before the fork, rather than again in every worker.
-        from concurrent.futures import ProcessPoolExecutor
+        else:
+            # Imported here, so an in-process run never loads multiprocessing.
+            # Forked workers inherit numpy.random (which maps OpenSSL through
+            # secrets -> hmac), loaded once here rather than again in each.
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
 
-        import numpy.random  # noqa: F401
+            import numpy.random  # noqa: F401
 
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks)),
-                                 initializer=_one_blas_thread) as pool:
-            parts = list(pool.map(fn, *zip(*tasks)))
+            with ProcessPoolExecutor(max_workers=min(workers, len(tasks)),
+                                     mp_context=multiprocessing.get_context("fork")) as pool:
+                parts = list(pool.map(fn, *zip(*tasks)))
+    finally:
+        _set_blas_threads(counts)
     flat = [chunk for part in parts for chunk in part]
     return [flat[j:j + n_chunks] for j in range(0, len(flat), n_chunks)]
 

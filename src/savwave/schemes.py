@@ -189,16 +189,15 @@ def _step_inputs(state, dw, problem, ops, u_hat):
     return drift, g_inc, g_vals
 
 
-def _diagnostics(problem, ops, state, new_u, new_v, new_q, v_dot_g, g_sq, trace, denom,
+def _diagnostics(problem, ops, n, v_old, new_u, new_v, new_q, v_dot_g, g_sq, trace, denom,
                  energy_sum):
     """(new state carrying nodal u_{n+1}, F(u_{n+1}) + delta0, f(u_{n+1}) and V, StepDiagnostics).
 
-    v_dot_g = <v_n, G_n> and g_sq = |G_n|^2 are the energy law's noise terms,
-    taken by the caller so that G_n is released before u_{n+1} is synthesized.
-    V_n is read from the state's cache when a previous step left it there.
+    n and v_old = V_n are the pre-step index and energy; v_dot_g = <v_n, G_n>
+    and g_sq = |G_n|^2 are the energy law's noise terms, taken by the caller
+    so that G_n is released before u_{n+1} is synthesized.
     """
     lam = ops.lam
-    v_old = state.V if state.V is not None else modified_energy(state.u, state.v, state.q, lam)
     # modified_energy's sum order: V = h + q^2 and V1 = h + F share h.
     h = 0.5 * _dot(lam * new_u, new_u) + 0.5 * _dot(new_v, new_v)
     v_new = h + new_q**2
@@ -209,7 +208,7 @@ def _diagnostics(problem, ops, state, new_u, new_v, new_q, v_dot_g, g_sq, trace,
     f_new = rad_new - problem.delta0
     aux_gap = np.abs(np.sqrt(rad_new) - new_q)
     v1 = h + f_new
-    new_state = SavState(new_u, new_v, new_q, state.n + 1, vals_new, rad_new, f_vals_new,
+    new_state = SavState(new_u, new_v, new_q, n + 1, vals_new, rad_new, f_vals_new,
                          v_new, energy_sum)
     return new_state, StepDiagnostics(
         V=v_new,
@@ -251,15 +250,20 @@ def step_exponential_sav(
     ENERGY_GUARD/2, inf and NaN included, are u, v and q scanned entry by
     entry for a non-finite value.
 
-    A diagnostics step takes the energy law's pre-step terms <v_n, G_n>,
-    |G_n|^2 and the trace term right after the update, then drops the
-    update's scratch arrays, the [b; G] coefficients and g(u_n).  While it
-    synthesizes u_{n+1} and evaluates the drift there it holds, beside the
-    input state, only u_{n+1}, v_{n+1} and three nodal arrays: u_{n+1} and
-    the two that the drift pair is evaluated into.
+    The step drops `state` once its inputs are taken, which frees the
+    state's cache when the caller handed over its only reference
+    (Integrator.step).  A diagnostics step takes the energy law's pre-step
+    terms <v_n, G_n>, |G_n|^2 and the trace term right after the update, then
+    drops the update's scratch arrays, the [b; G] coefficients and g(u_n):
+    while it synthesizes u_{n+1} and evaluates the drift there it holds only
+    u_n, v_n, u_{n+1}, v_{n+1} and three nodal arrays: u_{n+1} and the two
+    that the drift pair is evaluated into.
     """
-    u, v, q = state.u, state.v, state.q
+    u, v, q, n = state.u, state.v, state.q, state.n
+    if diagnostics:
+        v_old = modified_energy(u, v, q, ops.lam) if state.V is None else state.V
     b, g_inc, g_vals = _step_inputs(state, dw, problem, ops, u_hat)
+    del state
 
     # Every (..., K) array below is fresh, so the in-place ops touch nothing a
     # caller holds.  Each line keeps the evaluation order of the formula in
@@ -297,9 +301,9 @@ def step_exponential_sav(
     np.multiply(table.sqrt_lam, new_u, out=tmp)
     energy_sum = 0.5 * (np.vdot(tmp, tmp) + np.vdot(new_v, new_v)) + np.vdot(new_q, new_q)
     if not energy_sum <= _HEALTHY_SUM:
-        _check_finite(new_u, new_v, new_q, state.n)
+        _check_finite(new_u, new_v, new_q, n)
     if not diagnostics:
-        return SavState(new_u, new_v, new_q, state.n + 1, energy_sum=energy_sum), None
+        return SavState(new_u, new_v, new_q, n + 1, energy_sum=energy_sum), None
     # Release what the diagnostics do not need before they synthesize u_{n+1}.
     del tmp, a1b, qa1b
     v_dot_g = _dot(v, g_inc)
@@ -307,7 +311,7 @@ def step_exponential_sav(
     trace = np.full(np.shape(new_q), np.nan) if trace_fn is None else trace_fn(g_vals)
     del b, g_inc, g_vals
     return _diagnostics(
-        problem, ops, state, new_u, new_v, new_q, v_dot_g, g_sq, trace, denom, energy_sum
+        problem, ops, n, v_old, new_u, new_v, new_q, v_dot_g, g_sq, trace, denom, energy_sum
     )
 
 
@@ -377,7 +381,8 @@ class Integrator:
     whose arrays are (S, 1, K); the state is then (S, B, K) with q of shape
     (S, B), and one step advances every scheme on the same increment, which
     broadcasts from (B, K).  Each slice s takes the bits the unstacked
-    scheme s would.
+    scheme s would.  `step` hands the stepper its only reference to the
+    state, so an Integrator whose step raised holds none: callers abort.
     """
 
     def __init__(self, scheme, tau, problem, ops, state, predictor="identity", trace_fn=None):
@@ -398,13 +403,17 @@ class Integrator:
             np.stack([getattr(t, f) for t in tables])[:, None]
             for f in ("lam", "cos", "sin", "sqrt_lam", "a1", "a2")))
 
+    def _take_state(self):
+        state, self.state = self.state, None
+        return state
+
     def step(self, dw, diagnostics=False):
         u = u_hat = self.state.u
         if self.u_prev is not None:
             u_hat = 0.5 * (3.0 * u - self.u_prev)
             self.u_prev = u
         self.state, diag = step_exponential_sav(
-            self.state, dw, self.table, self.problem, self.ops,
+            self._take_state(), dw, self.table, self.problem, self.ops,
             u_hat=u_hat, diagnostics=diagnostics, trace_fn=self.trace_fn,
         )
         return diag

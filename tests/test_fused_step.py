@@ -12,6 +12,7 @@ costs.
 """
 
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -478,6 +479,39 @@ def test_step_inputs_release_nodal_dw_before_the_analysis(predictor, bound):
     finally:
         tracemalloc.stop()
     assert peak - start < bound * batch * ops.x.size * 8
+
+
+@pytest.mark.parametrize("predictor", PREDICTORS)
+def test_integrator_step_releases_the_previous_state_before_the_diagnostics(predictor):
+    # Integrator.step hands the stepper its only reference to the state, and
+    # the stepper drops it once the step inputs are taken: the cached nodal
+    # arrays of u_n are gone before the trace term and u_{n+1} are computed.
+    problem, ops, state, cmap = setup("spectral")
+    dws = increments(problem, cmap, 2)
+    alive = []
+    trace = trace_operator(problem.noise, ops)
+
+    def trace_fn(g_vals):
+        alive.append(previous() is not None)
+        return trace(g_vals)
+
+    integ = Integrator("exponential", TAU, problem, ops, state, predictor, trace_fn=trace_fn)
+    del state
+    for dw in dws:
+        previous = weakref.ref(integ.state)
+        integ.step(dw, diagnostics=True)
+    assert alive == [False, False]
+    assert previous() is None
+
+
+def test_a_step_that_raises_leaves_no_state():
+    problem, ops, state, cmap = setup("spectral")
+    integ = Integrator("exponential", TAU, problem, ops, state)
+    dw = increments(problem, cmap, 1)[0]
+    dw[0, 0] = np.nan
+    with np.errstate(all="ignore"), pytest.raises(BlowUpError):
+        integ.step(dw)
+    assert integ.state is None
 
 
 @pytest.mark.parametrize("diagnostics", [False, True])

@@ -1,4 +1,5 @@
 import inspect
+import io
 import json
 import os
 import subprocess
@@ -263,7 +264,7 @@ def _openblas_threads():
     import ctypes
 
     with open("/proc/self/maps") as maps:
-        paths = {line.split()[-1] for line in maps if "openblas" in line}
+        paths = {line.split(maxsplit=5)[-1].rstrip("\n") for line in maps if "openblas" in line}
     counts = []
     for path in paths:
         lib = ctypes.CDLL(path)
@@ -276,19 +277,67 @@ def _openblas_threads():
     return counts
 
 
-def test_pool_workers_run_one_blas_thread():
-    from concurrent.futures import ProcessPoolExecutor
+def _pooled(fn):
+    """fn(key, first, stop) for two keys on the production pool of two workers, per key."""
+    return harness._map_chunks(fn, EnergyStudy(realizations=1, chunk=1), 4, 2, keys=(0, 1))
 
-    if not _openblas_threads():
+
+def _worker_blas_threads(key, first, stop):
+    return [_openblas_threads()]
+
+
+def _failing_task(key, first, stop):
+    raise ValueError(f"task {key} failed")
+
+
+def test_pool_workers_run_one_blas_thread():
+    counts = harness._blas_threads()
+    if not counts:
         pytest.skip("no OpenBLAS loaded")
-    with ProcessPoolExecutor(1, initializer=harness._one_blas_thread) as pool:
-        counts = pool.submit(_openblas_threads).result(timeout=60)
-    assert counts and all(c == 1 for c in counts)
+    harness._set_blas_threads([2] * len(counts))  # workers must not inherit the parent's 2
+    try:
+        seen = _pooled(_worker_blas_threads)
+    finally:
+        harness._set_blas_threads(counts)
+    assert len(seen) == 2
+    for (worker_counts,) in seen:
+        assert worker_counts and all(c == 1 for c in worker_counts)
+
+
+def test_pooled_study_restores_the_blas_threads_also_when_a_task_raises():
+    counts = harness._blas_threads()
+    if not counts:
+        pytest.skip("no OpenBLAS loaded")
+    harness._set_blas_threads([3] * len(counts))
+    try:
+        _pooled(_worker_blas_threads)
+        assert harness._blas_threads() == [3] * len(counts)
+        with pytest.raises(ValueError, match="failed"):
+            _pooled(_failing_task)
+        assert harness._blas_threads() == [3] * len(counts)
+    finally:
+        harness._set_blas_threads(counts)
+
+
+def test_pool_forks_its_workers(monkeypatch):
+    # Workers inherit the one-thread OpenBLAS setting and numpy.random across
+    # the fork, so the pool must fork whatever the platform's default is.
+    import concurrent.futures
+
+    methods = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, mp_context=None, **kwargs):
+            methods.append(None if mp_context is None else mp_context.get_start_method())
+            super().__init__(*args, mp_context=mp_context, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    _pooled(_worker_blas_threads)
+    assert methods == ["fork"]
 
 
 FEM_POOL_PROBE = """
 import json
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -297,25 +346,26 @@ from savwave.model import make_problem
 from savwave.schemes import Integrator, initial_state
 
 
-def fem_task():
+def fem_task(key, first, stop):
     ops = fem.assemble(16)
     problem = make_problem(f="sine", g="sine", modes=ops.modes)
     u0, v0 = fem.initial_coefficients(ops, problem)
     integ = Integrator("exponential", 2.0**-6, problem, ops,
                        initial_state(u0[None], v0[None], problem, ops))
     integ.step(np.zeros((1, ops.modes)))
-    return _openblas_threads()
+    return [_openblas_threads()]
 
 
 if __name__ == "__main__":
-    with ProcessPoolExecutor(1, initializer=harness._one_blas_thread) as pool:
-        print(json.dumps(pool.submit(fem_task).result(timeout=60)))
+    parts = harness._map_chunks(fem_task, harness.EnergyStudy(realizations=1, chunk=1), 4, 2,
+                                keys=(0, 1))
+    print(json.dumps([counts for (counts,) in parts]))
 """
 
 
-def test_fem_pool_task_loads_no_blas_past_the_initializer(tmp_path):
-    # A library a task loads after the pool starts escapes the initializer's
-    # one-thread setting, so a FEM task must load none.  Run in a fresh
+def test_fem_pool_task_loads_no_blas_past_the_fork(tmp_path):
+    # A library a task loads after the fork escapes the one-thread setting
+    # the workers inherit, so a FEM task must load none.  Run in a fresh
     # interpreter: forked workers of this process inherit what it has loaded.
     if not _openblas_threads():
         pytest.skip("no OpenBLAS loaded")
@@ -326,8 +376,10 @@ def test_fem_pool_task_loads_no_blas_past_the_initializer(tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     out = subprocess.run([sys.executable, str(script)], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
-    counts = json.loads(out.stdout.strip().splitlines()[-1])
-    assert counts and all(c == 1 for c in counts)
+    seen = json.loads(out.stdout.strip().splitlines()[-1])
+    assert len(seen) == 2
+    for counts in seen:
+        assert counts and all(c == 1 for c in counts)
 
 
 def _run_layouts(monkeypatch, study_fn, study, chunk_fn):
@@ -557,24 +609,66 @@ class TestRowSlices:
         assert seen == [1]
 
     def test_openblas_is_looked_up_once(self, monkeypatch):
-        opened = []
-
-        def counting_open(path, *args, **kwargs):
-            opened.append(path)
-            return open(path, *args, **kwargs)
-
-        monkeypatch.setattr(harness, "open", counting_open, raising=False)
+        # Once, in the study's process: a pool task finds the lookup done
+        # before the fork (the cache's misses unchanged) and opens no maps.
+        _MAPS_OPENS.clear()
+        monkeypatch.setattr(harness, "open", _counting_open, raising=False)
         harness._openblas.cache_clear()
         try:
-            harness._one_blas_thread()
-            counts = harness._blas_threads()
-            harness._set_blas_threads(counts)
+            seen = _pooled(_lookups_seen)
+            misses = harness._openblas.cache_info().misses
             harness._map_chunks(lambda first, stop, threads: [None],
                                 EnergyStudy(realizations=2, chunk=2), 4, 1)
+            opened = list(_MAPS_OPENS)
         finally:
             monkeypatch.undo()
             harness._openblas.cache_clear()
-        assert opened == ["/proc/self/maps"]
+        assert misses == 1
+        assert opened == [(os.getpid(), "/proc/self/maps")]
+        assert [task for (task,) in seen] == [(misses, opened)] * 2
+
+    def test_openblas_path_may_hold_spaces(self, monkeypatch, tmp_path):
+        # /proc/self/maps ends each line with the whole pathname, spaces
+        # included, and marks a replaced file " (deleted)".
+        with open("/proc/self/maps") as maps:
+            lines = [line for line in maps if "openblas" in line]
+        if not lines:
+            pytest.skip("no OpenBLAS loaded")
+        counts = harness._blas_threads()
+        spaced = tmp_path / "a b"
+        spaced.mkdir()
+        fake = []
+        for i, path in enumerate(sorted({line.split(maxsplit=5)[-1].rstrip("\n")
+                                         for line in lines})):
+            link = spaced / f"{i} {Path(path).name}"
+            link.symlink_to(path)
+            head = lines[0].split(maxsplit=5)[:5]
+            fake += [" ".join(head) + f"  {link}\n", " ".join(head) + f"  {link} (deleted)\n"]
+
+        def fake_open(path, *args, **kwargs):
+            assert path == "/proc/self/maps"
+            return io.StringIO("".join(fake))
+
+        monkeypatch.setattr(harness, "open", fake_open, raising=False)
+        harness._openblas.cache_clear()
+        try:
+            assert len(harness._openblas()) == len(counts)
+            assert harness._blas_threads() == counts
+        finally:
+            monkeypatch.undo()
+            harness._openblas.cache_clear()
+
+
+_MAPS_OPENS = []
+
+
+def _counting_open(path, *args, **kwargs):
+    _MAPS_OPENS.append((os.getpid(), path))
+    return open(path, *args, **kwargs)
+
+
+def _lookups_seen(key, first, stop):
+    return [(harness._openblas.cache_info().misses, list(_MAPS_OPENS))]
 
 
 def _off_the_caller(body, after):

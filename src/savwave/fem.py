@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import Discretization, uniform_grid
-from .spectral import SpectralField, _synthesis_matrix
+from .spectral import SpectralField, _synthesis_matrix, sine_values
 
 __all__ = [
     "assemble",
@@ -69,8 +69,7 @@ def assemble(elements):
 
 def _evaluate(source, points):
     if isinstance(source, SpectralField):
-        k = np.arange(1, source.modes + 1)
-        return (np.sqrt(2.0) * np.sin(np.pi * np.outer(points, k))) @ source.coeffs
+        return sine_values(points, source.modes) @ source.coeffs
     return np.asarray(source(points), dtype=np.float64)
 
 

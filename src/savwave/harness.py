@@ -12,13 +12,16 @@ stay per chunk, so grouping changes no summation order.  A convergence task
 steps all the schemes it compares on one (schemes, rows, modes) state, so
 each fine increment is drawn, synthesized and summed into the coarse ones
 once; its tasks are split by rows only.  A study sends every group, of every
-step size it compares, through one process pool.  Every study runs OpenBLAS
-at one thread, which the pool's workers inherit across the fork; a study
-run in-process takes the process's OpenBLAS thread count as its budget: at
+step size it compares, through one process pool.  Every study runs numpy's
+OpenBLAS at one thread, which the pool's workers inherit across the fork; a
+study run in-process takes that OpenBLAS's thread count as its budget: at
 the mode counts where a row's GEMM bits do not depend on the rows around
 it, each sine-spectral task cuts its rows into up to that many contiguous
-slices (`_slices`), and each slice steps its own rows and streams on its
-own Python thread, so every row takes the bits it takes in a pool worker.
+slices (`_slices`), as many as hold enough values to pay for a thread, and
+each slice steps its own rows and streams on its own Python thread, so
+every row takes the bits it takes in a pool worker.  An energy task steps
+its slices a block of steps at a time and folds their per-step values into
+its chunk sums between blocks, on the calling thread.
 Each task streams its noise through `noise.increments` (a convergence task
 through `noise.coupled_increments`, which also sums the coarse increments),
 so it holds O(rows * modes) memory whatever its step count; a spatial task's
@@ -32,6 +35,7 @@ import ctypes
 import threading
 from dataclasses import dataclass
 from functools import cache, partial
+from itertools import islice
 
 import numpy as np
 
@@ -39,6 +43,7 @@ from . import fem as fem_mod
 from .model import make_problem, spectral_discretization, uniform_grid
 from .noise import RngStream, coupled_increments, increments, trace as cov_trace, trace_operator
 from .schemes import SCHEMES, Integrator, initial_state
+from .spectral import sine_values
 
 __all__ = [
     "ConvergenceStudy",
@@ -212,44 +217,21 @@ def _chunk_sums(values, spans):
 
 @cache
 def _openblas():
-    """(get, set) thread-count functions of each OpenBLAS loaded in this process.
+    """(get, set) thread-count functions of the OpenBLAS that numpy links, or None.
 
-    Read once from /proc/self/maps, so a library loaded later is not seen.
-    Empty when the maps cannot be read or no OpenBLAS is loaded: other BLAS
-    builds keep their own setting, and in-process studies then step on one
-    thread.
+    Looked up in numpy's own linear-algebra extension, since dlsym also
+    searches the libraries it links.  None under another BLAS, which keeps
+    its own setting; in-process studies then step on one thread.
     """
-    try:
-        with open("/proc/self/maps") as maps:
-            # address perms offset dev inode pathname: the path may hold spaces.
-            paths = sorted({line.split(maxsplit=5)[-1].rstrip("\n").removesuffix(" (deleted)")
-                            for line in maps if "openblas" in line})
-    except OSError:
-        return ()
-    found = []
-    for path in paths:
-        lib = ctypes.CDLL(path)
-        for prefix, suffix in (("openblas", ""), ("scipy_openblas", "64_"),
-                               ("scipy_openblas", "")):
-            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                found.append((get, put))
-                break
-    return tuple(found)
-
-
-def _blas_threads():
-    """Thread count of each OpenBLAS in `_openblas`, in its order."""
-    return [get() for get, _ in _openblas()]
-
-
-def _set_blas_threads(counts):
-    """Set each OpenBLAS in `_openblas` to its entry of `counts`."""
-    for (_, put), n in zip(_openblas(), counts):
-        put(n)
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    for prefix, suffix in (("openblas", ""), ("scipy_openblas", "64_"), ("scipy_openblas", "")):
+        get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+        put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
 
 
 # Fewest rows of a slice, and the sine mode counts K at which slices are made
@@ -266,23 +248,29 @@ def _set_blas_threads(counts):
 _SLICE_ROWS = 8
 _SLICE_MODES = frozenset({16, 32, 64, 128, 256, 512, 1024})
 
+# Fewest nodal values (stack x rows x (2K + 1)) per slice: below it a second
+# thread costs more in contended numpy calls than it saves.  On 2 cores, two
+# slices of 3.1k values took 2.2x as long as one thread, of 12.9k as long,
+# and of 32k (energy-diag) 16.5 % less; the README has the measured table.
+_SLICE_VALUES = 2**13
 
-def _slices(rows, threads, modes):
+
+def _slices(rows, threads, modes, stack=1):
     """At most `threads` contiguous row slices of a task of `rows` rows on `modes` sine modes.
 
-    One slice unless `modes` is in _SLICE_MODES, and none below _SLICE_ROWS rows.
+    One slice unless `modes` is in _SLICE_MODES; none below _SLICE_ROWS rows
+    or below _SLICE_VALUES nodal values of a `stack`-deep state.
     """
-    n = max(1, min(threads, rows // _SLICE_ROWS)) if modes in _SLICE_MODES else 1
+    n = min(threads, rows // _SLICE_ROWS, stack * rows * (2 * modes + 1) // _SLICE_VALUES)
+    n = max(1, n) if modes in _SLICE_MODES else 1
     cuts = [j * rows // n for j in range(n + 1)]
     return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
 
 
-def _run_slices(body, slices, barrier=None):
+def _run_slices(body, slices):
     """body(rows) for each slice: the first on this thread, each other on a thread of its own.
 
-    A slice that raises aborts `barrier`, so that no other slice waits on it
-    for ever; the first error in slice order other than that abort is raised
-    here, once every slice has ended.
+    The first error in slice order is raised here, once every slice has ended.
     """
     errors = [None] * len(slices)
 
@@ -291,8 +279,6 @@ def _run_slices(body, slices, barrier=None):
             body(slices[i])
         except BaseException as exc:
             errors[i] = exc
-            if barrier is not None:
-                barrier.abort()
 
     others = [threading.Thread(target=run, args=(i,)) for i in range(1, len(slices))]
     for thread in others:
@@ -301,7 +287,7 @@ def _run_slices(body, slices, barrier=None):
     for thread in others:
         thread.join()
     for exc in errors:
-        if exc is not None and not isinstance(exc, threading.BrokenBarrierError):
+        if exc is not None:
             raise exc
 
 
@@ -331,19 +317,21 @@ def _map_chunks(fn, study, modes, workers, keys=(None,), stack=1):
     on a group of consecutive chunks (`_groups`), which it steps as one
     array on the dealiased grid of `modes` sine modes, `stack` schemes deep,
     in up to `threads` row slices, and returns one result per chunk.  The
-    worker count plays no part in the groups.  OpenBLAS runs one thread
-    until the tasks are done, also when one raises.  All tasks share one
-    pool, whose workers are forked with that setting and call fn without
-    `threads`.  In-process tasks get the process's OpenBLAS thread count.
+    worker count plays no part in the groups.  The thread count of numpy's
+    OpenBLAS (`_openblas`) is read once as the budget, and OpenBLAS runs one
+    thread until the tasks are done, also when one raises.  All tasks share
+    one pool, whose workers are forked with that setting and call fn without
+    `threads`.  In-process tasks get the budget, 1 without an OpenBLAS.
     """
     groups = _groups(study, modes, stack)
     n_chunks = groups[-1][1]
     tasks = [g if key is None else (key, *g) for key in keys for g in groups]
-    counts = _blas_threads()
-    _set_blas_threads([1] * len(counts))
+    get, put = _openblas() or (lambda: 1, lambda n: None)
+    budget = get()
+    put(1)
     try:
         if workers <= 1 or len(tasks) <= 1:
-            parts = [fn(*task, min(counts, default=1)) for task in tasks]
+            parts = [fn(*task, budget) for task in tasks]
         else:
             # Imported here, so an in-process run never loads multiprocessing.
             # Forked workers inherit numpy.random (which maps OpenSSL through
@@ -357,7 +345,7 @@ def _map_chunks(fn, study, modes, workers, keys=(None,), stack=1):
                                      mp_context=multiprocessing.get_context("fork")) as pool:
                 parts = list(pool.map(fn, *zip(*tasks)))
     finally:
-        _set_blas_threads(counts)
+        put(budget)
     flat = [chunk for part in parts for chunk in part]
     return [flat[j:j + n_chunks] for j in range(0, len(flat), n_chunks)]
 
@@ -411,7 +399,7 @@ def _convergence_chunk(study, first, stop=None, threads=1):
                 else:
                     sq_errors[s, i, rows] = np.einsum("bk,bk->b", du[s], du[s])
 
-    _run_slices(step_rows, _slices(batch, threads, study.modes))
+    _run_slices(step_rows, _slices(batch, threads, study.modes, n_schemes))
     return [(sq_errors[..., s], excluded[:, s]) for s in spans]
 
 
@@ -459,9 +447,9 @@ def strong_convergence(study, workers=1):
 # Energy evolution.
 
 
-# Steps per fold of an energy task's per-row values into its chunk sums: the
-# slices write V and the trace term of their rows into a (steps, rows) buffer,
-# and the last slice to end a block of this many steps folds it.
+# Steps per block of an energy task: its slices step this many steps, each
+# writing V and the trace term of its rows into a (steps, rows) buffer, and
+# the calling thread folds the buffer into the chunk sums between blocks.
 _FOLD_STEPS = 64
 
 
@@ -472,42 +460,40 @@ def _energy_chunk(study, first, stop=None, threads=1):
     ops = spectral_discretization(study.modes)
     n_steps = round(study.T / study.tau)
     trace_fn = trace_operator(problem.noise, ops)
-    block = min(_FOLD_STEPS, n_steps)
     v0 = np.empty(batch)
-    rows_v = np.empty((block, batch))  # V_{n+1} of step n
-    rows_trace = np.empty((block, batch))  # the trace term of step n
+    rows_v = np.empty((min(_FOLD_STEPS, n_steps), batch))  # V after each step of a block
+    rows_trace = np.empty_like(rows_v)  # the trace term of each step of a block
     sum_v = np.zeros((len(spans), n_steps + 1))
     sum_v2 = np.zeros((len(spans), n_steps + 1))
     sum_trace = np.zeros((len(spans), n_steps))
-    folded = 0
+    slices = _slices(batch, threads, study.modes)
+    runs = {}
 
-    def fold():
-        nonlocal folded
-        lo, hi = folded, min(folded + block, n_steps)
-        for c, s in enumerate(spans):
-            v = rows_v[:hi - lo, s]
-            sum_v[c, lo + 1:hi + 1] = np.sum(v, axis=1)
-            sum_v2[c, lo + 1:hi + 1] = np.sum(v**2, axis=1)
-            sum_trace[c, lo:hi] = np.sum(rows_trace[:hi - lo, s], axis=1)
-        folded = hi
-
-    def step_rows(rows):
+    def start(rows):
         integ = Integrator(
             study.scheme, study.tau, problem, ops,
             _batched_initial(problem, ops, rows.stop - rows.start), study.predictor,
             trace_fn=trace_fn,
         )
         v0[rows] = integ.energy()
-        for n, dw in enumerate(increments(problem.noise, study.tau, n_steps, streams[rows])):
-            diag = integ.step(dw, diagnostics=True)
-            rows_v[n % block, rows] = diag.V
-            rows_trace[n % block, rows] = diag.trace_term
-            if (n + 1) % block == 0 or n + 1 == n_steps:
-                barrier.wait()
+        runs[rows.start] = integ, increments(problem.noise, study.tau, n_steps, streams[rows])
 
-    slices = _slices(batch, threads, study.modes)
-    barrier = threading.Barrier(len(slices), action=fold)
-    _run_slices(step_rows, slices, barrier)
+    def step_block(rows):
+        integ, draws = runs[rows.start]
+        for n, dw in enumerate(islice(draws, hi - lo)):
+            diag = integ.step(dw, diagnostics=True)
+            rows_v[n, rows] = diag.V
+            rows_trace[n, rows] = diag.trace_term
+
+    _run_slices(start, slices)
+    for lo in range(0, n_steps, _FOLD_STEPS):
+        hi = min(lo + _FOLD_STEPS, n_steps)
+        _run_slices(step_block, slices)
+        for c, s in enumerate(spans):
+            v = rows_v[:hi - lo, s]
+            sum_v[c, lo + 1:hi + 1] = np.sum(v, axis=1)
+            sum_v2[c, lo + 1:hi + 1] = np.sum(v**2, axis=1)
+            sum_trace[c, lo:hi] = np.sum(rows_trace[:hi - lo, s], axis=1)
     sum_v[:, 0] = _chunk_sums(v0, spans)
     sum_v2[:, 0] = _chunk_sums(v0**2, spans)
     return list(zip(sum_v, sum_v2, sum_trace))
@@ -650,12 +636,11 @@ def _spatial_chunk(study, first, stop=None, threads=1):
             run.step(dw @ cmap.T)
 
     fine = uniform_grid(study.fine_grid)
-    k = np.arange(1, kref + 1)
     nodal = [ops.nodal(run.state.u) for ops, run in zip(meshes, fem_runs)]
     sq_errors = np.zeros((len(meshes), batch))
     for lo in range(0, fine.x.size, _FINE_BLOCK):
         x = fine.x[lo:lo + _FINE_BLOCK]
-        ref_vals = ref.state.u @ (np.sqrt(2.0) * np.sin(np.pi * np.outer(x, k))).T
+        ref_vals = ref.state.u @ sine_values(x, kref).T
         for ops, vals, sq in zip(meshes, nodal, sq_errors):
             err = fem_mod.linear_interp(ops.x, vals, x)
             np.subtract(ref_vals, err, out=err)

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .spectral import sine_values
+
 __all__ = [
     "CovarianceSpec",
     "RngStream",
@@ -162,8 +164,7 @@ def trace_operator(cov, ops):
     spaces with a nodal Gram matrix (finite elements) the full bilinear form
     with the noise correlation at the nodes is used.
     """
-    k = np.arange(1, cov.modes + 1)
-    basis = np.sqrt(2.0) * np.sin(np.pi * np.outer(ops.x, k))
+    basis = sine_values(ops.x, cov.modes)
     if ops.l2_gram is None:
         density = np.square(basis, out=basis) @ cov.q
         weights = ops.weights * density

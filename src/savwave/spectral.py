@@ -4,9 +4,9 @@ Fields are stored as coefficient vectors in the orthonormal basis
 e_k(x) = sqrt(2)*sin(k*pi*x), k = 1..K, in which the negative Laplacian is
 diagonal with eigenvalues (k*pi)^2.  This module provides the eigenvalues,
 the synthesis matrix onto uniform grids that `model.spectral_discretization`
-wraps, and the per-mode propagator tables of the linear wave system: the
-exact cosine/sine operator pair and its Cayley (Crank-Nicolson)
-approximation.
+wraps, the basis values at any points, and the per-mode propagator tables
+of the linear wave system: the exact cosine/sine operator pair and its
+Cayley (Crank-Nicolson) approximation.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ __all__ = [
     "wave_group_table",
     "cayley_group_table",
     "spectral_group_table",
+    "sine_values",
 ]
 
 
@@ -151,6 +152,18 @@ def spectral_group_table(modes, tau):
     call.
     """
     return wave_group_table(eigenvalues(modes), tau)
+
+
+def sine_values(x, modes):
+    """(len(x), modes) values e_k(x_i) = sqrt(2)*sin(k*pi*x_i), k = 1..modes, at the points x.
+
+    Evaluated in place in one array, with the bits of that expression.
+    """
+    vals = np.outer(x, np.arange(1.0, modes + 1))
+    vals *= np.pi
+    np.sin(vals, out=vals)
+    vals *= np.sqrt(2.0)
+    return vals
 
 
 def _synthesis_matrix(modes, grid_points):

@@ -1,5 +1,5 @@
+import builtins
 import inspect
-import io
 import json
 import os
 import subprocess
@@ -35,10 +35,11 @@ from savwave.noise import RngStream, power_covariance, trace_operator
 @pytest.fixture
 def one_blas_thread():
     """OpenBLAS at one thread, as `_map_chunks` runs in-process tasks; restored afterwards."""
-    counts = harness._blas_threads()
-    harness._set_blas_threads([1] * len(counts))
+    get, put = harness._openblas() or (lambda: 1, lambda n: None)
+    count = get()
+    put(1)
     yield
-    harness._set_blas_threads(counts)
+    put(count)
 
 
 MINI = ConvergenceStudy(
@@ -231,10 +232,11 @@ class TestEnergyEvolution:
         assert peaks[1] <= 1.1 * peaks[0]
         assert peaks[1] < 128 * batch * modes * 8
 
-    def test_sliced_chunk_memory_does_not_grow_with_steps(self, one_blas_thread):
+    def test_sliced_chunk_memory_does_not_grow_with_steps(self, one_blas_thread, monkeypatch):
         # The same bounds with the rows stepped in two slices: the slices fold
         # their per-step values every `_FOLD_STEPS` steps, so no buffer holds
         # a row per step of the study.
+        monkeypatch.setattr(harness, "_SLICE_VALUES", 1)
         batch, modes = 32, 64
         peaks = []
         for T in (0.5, 2.0):  # 64 and 256 steps
@@ -290,33 +292,64 @@ def _failing_task(key, first, stop):
     raise ValueError(f"task {key} failed")
 
 
-def test_pool_workers_run_one_blas_thread():
-    counts = harness._blas_threads()
-    if not counts:
-        pytest.skip("no OpenBLAS loaded")
-    harness._set_blas_threads([2] * len(counts))  # workers must not inherit the parent's 2
-    try:
-        seen = _pooled(_worker_blas_threads)
-    finally:
-        harness._set_blas_threads(counts)
+POOL_PROBE = """
+import json
+
+from savwave import harness
+
+
+def task(key, first, stop):
+    return [_openblas_threads()]
+
+
+if __name__ == "__main__":
+    get, put = harness._openblas()
+    put(2)  # workers must not inherit the parent's 2
+    parts = harness._map_chunks(task, harness.EnergyStudy(realizations=1, chunk=1), 4, 2,
+                                keys=(0, 1))
+    print(json.dumps([counts for (counts,) in parts]))
+"""
+
+
+def _pool_probe_threads(tmp_path, probe):
+    """Per pool task of `probe`, run in a fresh interpreter: every OpenBLAS thread count it saw.
+
+    Forked workers of this process would inherit every library it has
+    loaded, scipy's own OpenBLAS among them, which no savwave study loads.
+    """
+    script = tmp_path / "pool_probe.py"
+    script.write_text(inspect.getsource(_openblas_threads) + probe)
+    env = dict(os.environ)
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, str(script)], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def test_pool_workers_run_one_blas_thread(tmp_path):
+    if harness._openblas() is None:
+        pytest.skip("numpy links no OpenBLAS")
+    seen = _pool_probe_threads(tmp_path, POOL_PROBE)
     assert len(seen) == 2
-    for (worker_counts,) in seen:
+    for worker_counts in seen:
         assert worker_counts and all(c == 1 for c in worker_counts)
 
 
 def test_pooled_study_restores_the_blas_threads_also_when_a_task_raises():
-    counts = harness._blas_threads()
-    if not counts:
-        pytest.skip("no OpenBLAS loaded")
-    harness._set_blas_threads([3] * len(counts))
+    if harness._openblas() is None:
+        pytest.skip("numpy links no OpenBLAS")
+    get, put = harness._openblas()
+    count = get()
+    put(3)
     try:
         _pooled(_worker_blas_threads)
-        assert harness._blas_threads() == [3] * len(counts)
+        assert get() == 3
         with pytest.raises(ValueError, match="failed"):
             _pooled(_failing_task)
-        assert harness._blas_threads() == [3] * len(counts)
+        assert get() == 3
     finally:
-        harness._set_blas_threads(counts)
+        put(count)
 
 
 def test_pool_forks_its_workers(monkeypatch):
@@ -365,18 +398,10 @@ if __name__ == "__main__":
 
 def test_fem_pool_task_loads_no_blas_past_the_fork(tmp_path):
     # A library a task loads after the fork escapes the one-thread setting
-    # the workers inherit, so a FEM task must load none.  Run in a fresh
-    # interpreter: forked workers of this process inherit what it has loaded.
+    # the workers inherit, so a FEM task must load none.
     if not _openblas_threads():
         pytest.skip("no OpenBLAS loaded")
-    script = tmp_path / "fem_pool_probe.py"
-    script.write_text(inspect.getsource(_openblas_threads) + FEM_POOL_PROBE)
-    env = dict(os.environ)
-    src = str(Path(harness.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    out = subprocess.run([sys.executable, str(script)], env=env, capture_output=True,
-                         text=True, timeout=120, check=True)
-    seen = json.loads(out.stdout.strip().splitlines()[-1])
+    seen = _pool_probe_threads(tmp_path, FEM_POOL_PROBE)
     assert len(seen) == 2
     for counts in seen:
         assert counts and all(c == 1 for c in counts)
@@ -545,23 +570,32 @@ class TestRowSlices:
                 got = ops.project(values[:, part].reshape(-1, nodes))
                 assert got.tobytes() == coeffs_back[:, part].tobytes()
 
-    def test_slices_cover_the_rows_and_none_is_below_the_floor(self):
-        for rows in range(1, 70):
-            for threads in (1, 2, 3, 4, 8):
-                slices = harness._slices(rows, threads, 64)
-                assert slices[0].start == 0 and slices[-1].stop == rows
-                assert all(a.stop == b.start for a, b in zip(slices, slices[1:]))
-                assert 1 <= len(slices) <= threads
-                if len(slices) > 1:  # never a one-row slice: its GEMMs take GEMV bits
-                    assert min(s.stop - s.start for s in slices) >= harness._SLICE_ROWS
+    def test_slices_cover_the_rows_and_none_is_below_the_floor(self, monkeypatch):
+        with monkeypatch.context() as m:  # the row floor alone
+            m.setattr(harness, "_SLICE_VALUES", 1)
+            for rows in range(1, 70):
+                for threads in (1, 2, 3, 4, 8):
+                    slices = harness._slices(rows, threads, 64)
+                    assert slices[0].start == 0 and slices[-1].stop == rows
+                    assert all(a.stop == b.start for a, b in zip(slices, slices[1:]))
+                    assert 1 <= len(slices) <= threads
+                    if len(slices) > 1:  # never a one-row slice: its GEMMs take GEMV bits
+                        assert min(s.stop - s.start for s in slices) >= harness._SLICE_ROWS
+            assert len(harness._slices(2 * harness._SLICE_ROWS - 1, 2, 256)) == 1
         assert len(harness._slices(125, 2, 256)) == 2  # energy-diag's tasks
-        assert len(harness._slices(2 * harness._SLICE_ROWS - 1, 2, 256)) == 1
+        # A slice must hold _SLICE_VALUES values of the stacked state: the
+        # converge-ladder shape is one slice, K = 256 converge tasks are two.
+        assert len(harness._slices(25, 2, 64, stack=2)) == 1
+        assert len(harness._slices(50, 2, 256, stack=2)) == 2
+        assert len(harness._slices(64, 2, 64, stack=2)) == 2  # the stack counts
+        assert len(harness._slices(64, 2, 64)) == 1
         # Outside the measured mode counts a row's bits may depend on its slice.
         assert harness._slices(250, 4, 100) == [slice(0, 250)]
         assert harness._slices(250, 4, 255) == [slice(0, 250)]
 
     @pytest.mark.parametrize("body", sorted(SLICED))
     def test_sliced_task_takes_the_bits_of_one_thread(self, one_blas_thread, monkeypatch, body):
+        monkeypatch.setattr(harness, "_SLICE_VALUES", 1)
         whole = _result_bytes(SLICED[body](1))
         # A fold every 5 of the energy task's 16 steps leaves a short last block.
         monkeypatch.setattr(harness, "_FOLD_STEPS", 5)
@@ -569,14 +603,15 @@ class TestRowSlices:
             assert _result_bytes(SLICED[body](threads)) == whole
 
     def test_in_process_tasks_get_the_blas_budget_and_restore_it(self, monkeypatch):
-        counts = harness._blas_threads()
-        if not counts:
-            pytest.skip("no OpenBLAS loaded")
+        if harness._openblas() is None:
+            pytest.skip("numpy links no OpenBLAS")
+        get, put = harness._openblas()
+        count = get()
         seen = []
         body = harness._aux_gap_chunk
 
         def recording(*args):
-            seen.append((harness._blas_threads(), args[-1]))
+            seen.append((get(), args[-1]))
             return body(*args)
 
         monkeypatch.setattr(harness, "_aux_gap_chunk", recording)
@@ -588,87 +623,75 @@ class TestRowSlices:
             f, F = drift_values(self, u, out)
             return f, F - 2.0
 
-        harness._set_blas_threads([3] * len(counts))
+        put(3)
         try:
             aux_gap_scaling(study)
-            assert harness._blas_threads() == [3] * len(counts)
+            assert get() == 3
             with monkeypatch.context() as m:
                 m.setattr(model.Problem, "drift_values", shifted)
                 with pytest.raises(model.ModelViolationError):
                     aux_gap_scaling(study)
-            assert harness._blas_threads() == [3] * len(counts)
+            assert get() == 3
         finally:
-            harness._set_blas_threads(counts)
-        assert seen == [([1] * len(counts), 3)] * 2
+            put(count)
+        assert seen == [(1, 3)] * 2
 
     def test_no_openblas_means_one_thread(self, monkeypatch):
         seen = []
-        monkeypatch.setattr(harness, "_openblas", lambda: ())
+        monkeypatch.setattr(harness, "_openblas", lambda: None)
         harness._map_chunks(lambda first, stop, threads: seen.append(threads) or [None],
                             EnergyStudy(realizations=2, chunk=2), 4, 1)
         assert seen == [1]
 
     def test_openblas_is_looked_up_once(self, monkeypatch):
         # Once, in the study's process: a pool task finds the lookup done
-        # before the fork (the cache's misses unchanged) and opens no maps.
-        _MAPS_OPENS.clear()
-        monkeypatch.setattr(harness, "open", _counting_open, raising=False)
+        # before the fork (the cache's misses unchanged), and no process
+        # opens /proc/self/maps.
+        _OPENED.clear()
+        monkeypatch.setattr(builtins, "open", _recording_open)
         harness._openblas.cache_clear()
         try:
             seen = _pooled(_lookups_seen)
             misses = harness._openblas.cache_info().misses
             harness._map_chunks(lambda first, stop, threads: [None],
                                 EnergyStudy(realizations=2, chunk=2), 4, 1)
-            opened = list(_MAPS_OPENS)
+            opened = list(_OPENED)
         finally:
             monkeypatch.undo()
             harness._openblas.cache_clear()
         assert misses == 1
-        assert opened == [(os.getpid(), "/proc/self/maps")]
-        assert [task for (task,) in seen] == [(misses, opened)] * 2
+        assert "/proc/self/maps" not in [path for _, path in opened]
+        for (task_misses, task_opened) in (task for (task,) in seen):
+            assert task_misses == misses
+            assert "/proc/self/maps" not in [path for _, path in task_opened]
 
-    def test_openblas_path_may_hold_spaces(self, monkeypatch, tmp_path):
-        # /proc/self/maps ends each line with the whole pathname, spaces
-        # included, and marks a replaced file " (deleted)".
-        with open("/proc/self/maps") as maps:
-            lines = [line for line in maps if "openblas" in line]
-        if not lines:
-            pytest.skip("no OpenBLAS loaded")
-        counts = harness._blas_threads()
-        spaced = tmp_path / "a b"
-        spaced.mkdir()
-        fake = []
-        for i, path in enumerate(sorted({line.split(maxsplit=5)[-1].rstrip("\n")
-                                         for line in lines})):
-            link = spaced / f"{i} {Path(path).name}"
-            link.symlink_to(path)
-            head = lines[0].split(maxsplit=5)[:5]
-            fake += [" ".join(head) + f"  {link}\n", " ".join(head) + f"  {link} (deleted)\n"]
-
-        def fake_open(path, *args, **kwargs):
-            assert path == "/proc/self/maps"
-            return io.StringIO("".join(fake))
-
-        monkeypatch.setattr(harness, "open", fake_open, raising=False)
-        harness._openblas.cache_clear()
+    def test_numpy_openblas_handle_sets_the_thread_count(self):
+        # Without the handle every in-process study would step on one thread
+        # and fail nothing: guard it wherever numpy names an OpenBLAS.
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        if "openblas" not in blas.get("name", "").lower():
+            pytest.skip("numpy links no OpenBLAS")
+        assert harness._openblas() is not None
+        get, put = harness._openblas()
+        count = get()
         try:
-            assert len(harness._openblas()) == len(counts)
-            assert harness._blas_threads() == counts
+            put(1 if count > 1 else 2)
+            assert get() == (1 if count > 1 else 2)
         finally:
-            monkeypatch.undo()
-            harness._openblas.cache_clear()
+            put(count)
 
 
-_MAPS_OPENS = []
+_OPENED = []
+_open = builtins.open
 
 
-def _counting_open(path, *args, **kwargs):
-    _MAPS_OPENS.append((os.getpid(), path))
-    return open(path, *args, **kwargs)
+def _recording_open(path, *args, **kwargs):
+    _OPENED.append((os.getpid(), path))
+    return _open(path, *args, **kwargs)
 
 
 def _lookups_seen(key, first, stop):
-    return [(harness._openblas.cache_info().misses, list(_MAPS_OPENS))]
+    return [(harness._openblas.cache_info().misses, list(_OPENED))]
 
 
 def _off_the_caller(body, after):
@@ -695,17 +718,17 @@ def _off_the_caller(body, after):
 @pytest.mark.parametrize("body", ["convergence", "energy", "aux_gap"])
 @pytest.mark.parametrize("error", ["radicand", "non-finite"])
 def test_an_error_in_another_slice_reaches_the_caller(one_blas_thread, monkeypatch, body, error):
-    # Mid-run, past the energy task's first fold: the calling slice may be
-    # waiting at the fold's barrier, which the failing slice must break.
+    # Mid-run, past the energy task's first fold: the error must end the
+    # task, not only the block of steps it was raised in.
     monkeypatch.setattr(harness, "_FOLD_STEPS", 5)
-    calls = threading.local()
-    state = {}
+    monkeypatch.setattr(harness, "_SLICE_VALUES", 1)
+    state = {"calls": 0}
 
-    def failing():
+    def failing():  # counted over the other slice's threads, one per block of steps
         if threading.current_thread() is state["caller"]:
             return False
-        calls.n = getattr(calls, "n", 0) + 1
-        return calls.n > 12
+        state["calls"] += 1
+        return state["calls"] > 12
 
     if error == "radicand":  # the radicand mutant of the CLI's check tests
         drift_values = model.Problem.drift_values

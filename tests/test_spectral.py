@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from savwave.model import spectral_discretization
+from savwave.model import spectral_discretization, uniform_grid
 from savwave.schemes import modified_energy
 from savwave.spectral import (
     SpectralField,
     cayley_group_table,
     eigenvalues,
+    sine_values,
     spectral_group_table,
     wave_group_table,
 )
@@ -263,3 +264,12 @@ class TestFieldValidation:
         table = build(eigenvalues(8), 0.3)
         with pytest.raises(ValueError, match="trigonometric identity"):
             replace(table, sin=table.sin * (1.0 + 1e-14))
+
+
+def test_sine_values_take_the_bits_of_the_expression():
+    # Evaluated in place; the spatial reference, the trace weights and the
+    # FEM loads must keep the bits of the expression they each wrote out.
+    for modes in (7, 64, 256):
+        for x in (uniform_grid(2048).x[256:512], spectral_discretization(modes).x):
+            expected = np.sqrt(2.0) * np.sin(np.pi * np.outer(x, np.arange(1, modes + 1)))
+            assert sine_values(x, modes).tobytes() == expected.tobytes()

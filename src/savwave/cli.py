@@ -23,6 +23,7 @@ from .harness import (
     EnergyStudy,
     _batched_initial,
     energy_evolution,
+    step_count,
     strong_convergence,
 )
 from .model import DIFFUSIONS, DRIFTS, ModelViolationError, make_problem, spectral_discretization
@@ -97,10 +98,10 @@ class RunConfig:
     out_dir: str = "out"
 
     def steps(self):
-        n = round(self.T / self.tau)
-        if n < 0 or abs(n * self.tau - self.T) > 2 * np.finfo(float).eps * max(self.T, 1.0):
-            raise ConfigError(f"invalid value for time.tau: {self.tau} does not divide T = {self.T}")
-        return n
+        try:
+            return step_count(self.T, self.tau)
+        except ValueError as exc:
+            raise ConfigError(f"invalid value for time.tau: {exc}") from exc
 
     def validate(self):
         for key, value in (("time.T", self.T), ("problem.sigma", self.sigma),

@@ -19,9 +19,11 @@ the mode counts where a row's GEMM bits do not depend on the rows around
 it, each sine-spectral task cuts its rows into up to that many contiguous
 slices (`_slices`), as many as hold enough values to pay for a thread, and
 each slice steps its own rows and streams on its own Python thread, so
-every row takes the bits it takes in a pool worker.  An energy task steps
-its slices a block of steps at a time and folds their per-step values into
-its chunk sums between blocks, on the calling thread.
+every row takes the bits it takes in a pool worker.  The energy and aux-gap
+studies share one diagnostics task (`_energy_chunk`), which steps its slices
+a block of steps at a time and folds their per-step values into its chunk
+sums between blocks, on the calling thread.  Every study rejects a horizon T
+that is not a whole number of its steps (`step_count`).
 Each task streams its noise through `noise.increments` (a convergence task
 through `noise.coupled_increments`, which also sums the coarse increments),
 so it holds O(rows * modes) memory whatever its step count; a spatial task's
@@ -75,6 +77,14 @@ def fit_loglog(x, y):
     return float(slope), float(my - slope * mx)
 
 
+def step_count(T, tau):
+    """round(T / tau), the steps of size `tau` that end at T; ValueError unless they do."""
+    n = round(T / tau)
+    if n < 0 or abs(n * tau - T) > 2 * np.finfo(float).eps * max(T, 1.0):
+        raise ValueError(f"T = {T} is not a whole number of steps {tau}")
+    return n
+
+
 # ---------------------------------------------------------------------------
 # Study configurations.  Plain data only: instances cross process boundaries.
 
@@ -103,10 +113,8 @@ class ConvergenceStudy:
     def __post_init__(self):
         if any(e > self.ref_exp for e in self.tau_exps):
             raise ValueError("reference step must divide every ladder step")
-        # T * 2^e is exact, so T is a whole number of steps 2^-e iff it is an integer
         for e in (*self.tau_exps, self.ref_exp):
-            if not (self.T * 2.0**e).is_integer():
-                raise ValueError(f"T = {self.T} is not a whole number of steps 2^-{e}")
+            step_count(self.T, 2.0**-e)
         if self.norm not in ("l2", "h"):
             raise ValueError(f"unknown error norm '{self.norm}'")
 
@@ -129,6 +137,9 @@ class EnergyStudy:
     seed: int = 12345
     chunk: int = 250
 
+    def __post_init__(self):
+        step_count(self.T, self.tau)
+
 
 @dataclass(frozen=True)
 class AuxGapStudy:
@@ -147,6 +158,10 @@ class AuxGapStudy:
     realizations: int = 100
     seed: int = 12345
     chunk: int = 50
+
+    def __post_init__(self):
+        for e in self.tau_exps:
+            step_count(self.T, 2.0**-e)
 
 
 @dataclass(frozen=True)
@@ -167,6 +182,9 @@ class SpatialStudy:
     seed: int = 12345
     chunk: int = 50
     fine_grid: int = 2048
+
+    def __post_init__(self):
+        step_count(self.T, self.tau)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +384,7 @@ def _convergence_chunk(study, first, stop=None, threads=1):
     problem = _problem(study, study.modes)
     ops = spectral_discretization(study.modes)
     tau_ref = 2.0**-study.ref_exp
-    n_fine = round(study.T / tau_ref)
+    n_fine = step_count(study.T, tau_ref)
     multiples = [2 ** (study.ref_exp - e) for e in study.tau_exps]
     n_schemes = len(study.schemes)
     sq_errors = np.empty((n_schemes, len(multiples), batch))
@@ -444,25 +462,32 @@ def strong_convergence(study, workers=1):
 
 
 # ---------------------------------------------------------------------------
-# Energy evolution.
+# Energy evolution and auxiliary-variable gap: one diagnostics task.
 
 
-# Steps per block of an energy task: its slices step this many steps, each
-# writing V and the trace term of its rows into a (steps, rows) buffer, and
-# the calling thread folds the buffer into the chunk sums between blocks.
+# Steps per block of a diagnostics task: its slices step this many steps,
+# each writing V and the trace term of its rows into a (steps, rows) buffer,
+# and the calling thread folds the buffer into the chunk sums between blocks.
 _FOLD_STEPS = 64
 
 
-def _energy_chunk(study, first, stop=None, threads=1):
+def _energy_chunk(study, tau, first, stop=None, threads=1, trace=False):
+    """Per chunk: sums of V and V^2 and of the trace term per step, and of each path's worst gap.
+
+    The one diagnostics task of the energy and aux-gap studies, at step size
+    `tau`.  Without `trace` the stepper gets no trace operator and the trace
+    sums are NaN.
+    """
     streams, spans = _group(study, first, stop)
     batch = len(streams)
     problem = _problem(study, study.modes)
     ops = spectral_discretization(study.modes)
-    n_steps = round(study.T / study.tau)
-    trace_fn = trace_operator(problem.noise, ops)
+    n_steps = step_count(study.T, tau)
+    trace_fn = trace_operator(problem.noise, ops) if trace else None
     v0 = np.empty(batch)
     rows_v = np.empty((min(_FOLD_STEPS, n_steps), batch))  # V after each step of a block
     rows_trace = np.empty_like(rows_v)  # the trace term of each step of a block
+    max_gap = np.zeros(batch)  # each path's worst aux gap so far
     sum_v = np.zeros((len(spans), n_steps + 1))
     sum_v2 = np.zeros((len(spans), n_steps + 1))
     sum_trace = np.zeros((len(spans), n_steps))
@@ -471,19 +496,21 @@ def _energy_chunk(study, first, stop=None, threads=1):
 
     def start(rows):
         integ = Integrator(
-            study.scheme, study.tau, problem, ops,
+            study.scheme, tau, problem, ops,
             _batched_initial(problem, ops, rows.stop - rows.start), study.predictor,
             trace_fn=trace_fn,
         )
         v0[rows] = integ.energy()
-        runs[rows.start] = integ, increments(problem.noise, study.tau, n_steps, streams[rows])
+        runs[rows.start] = integ, increments(problem.noise, tau, n_steps, streams[rows])
 
     def step_block(rows):
         integ, draws = runs[rows.start]
+        gap = max_gap[rows]
         for n, dw in enumerate(islice(draws, hi - lo)):
             diag = integ.step(dw, diagnostics=True)
             rows_v[n, rows] = diag.V
             rows_trace[n, rows] = diag.trace_term
+            np.maximum(gap, diag.aux_gap, out=gap)
 
     _run_slices(start, slices)
     for lo in range(0, n_steps, _FOLD_STEPS):
@@ -496,7 +523,7 @@ def _energy_chunk(study, first, stop=None, threads=1):
             sum_trace[c, lo:hi] = np.sum(rows_trace[:hi - lo, s], axis=1)
     sum_v[:, 0] = _chunk_sums(v0, spans)
     sum_v2[:, 0] = _chunk_sums(v0**2, spans)
-    return list(zip(sum_v, sum_v2, sum_trace))
+    return list(zip(sum_v, sum_v2, sum_trace, _chunk_sums(max_gap, spans)))
 
 
 @dataclass(frozen=True)
@@ -515,12 +542,13 @@ def energy_evolution(study, workers=1):
     sampling: V_0 + n*(tau/2)*sigma^2*trace(Q).  Otherwise the per-step trace
     term is averaged over the same realizations.
     """
-    n_steps = round(study.T / study.tau)
-    parts, = _map_chunks(partial(_energy_chunk, study), study, study.modes, workers)
+    n_steps = step_count(study.T, study.tau)
+    parts, = _map_chunks(partial(_energy_chunk, study, trace=True), study, study.modes, workers,
+                         (study.tau,))
     sum_v = np.zeros(n_steps + 1)
     sum_v2 = np.zeros(n_steps + 1)
     sum_trace = np.zeros(n_steps)
-    for pv, pv2, ptr in parts:
+    for pv, pv2, ptr, _ in parts:
         sum_v += pv
         sum_v2 += pv2
         sum_trace += ptr
@@ -542,33 +570,6 @@ def energy_evolution(study, workers=1):
     return EnergyResult(study, steps * study.tau, mean_v, stderr, predicted)
 
 
-# ---------------------------------------------------------------------------
-# Auxiliary-variable gap scaling.
-
-
-def _aux_gap_chunk(study, tau_exp, first, stop=None, threads=1):
-    streams, spans = _group(study, first, stop)
-    batch = len(streams)
-    problem = _problem(study, study.modes)
-    ops = spectral_discretization(study.modes)
-    tau = 2.0**-tau_exp
-    n_steps = round(study.T / tau)
-    max_gap = np.zeros(batch)
-
-    def step_rows(rows):
-        integ = Integrator(
-            study.scheme, tau, problem, ops,
-            _batched_initial(problem, ops, rows.stop - rows.start), study.predictor,
-        )
-        gap = max_gap[rows]
-        for dw in increments(problem.noise, tau, n_steps, streams[rows]):
-            diag = integ.step(dw, diagnostics=True)
-            np.maximum(gap, diag.aux_gap, out=gap)
-
-    _run_slices(step_rows, _slices(batch, threads, study.modes))
-    return _chunk_sums(max_gap, spans)
-
-
 @dataclass(frozen=True)
 class AuxGapResult:
     study: AuxGapStudy
@@ -583,16 +584,15 @@ def aux_gap_scaling(study, workers=1):
     q_0 starts with zero gap, so the reported gap is pure scheme drift; the
     halving ratio between consecutive dyadic step sizes measures its order.
     """
-    per_tau = _map_chunks(partial(_aux_gap_chunk, study), study, study.modes, workers,
-                          study.tau_exps)
-    means = np.array([sum(parts) / study.realizations for parts in per_tau])
+    taus = tuple(2.0**-e for e in study.tau_exps)
+    per_tau = _map_chunks(partial(_energy_chunk, study), study, study.modes, workers, taus)
+    means = np.array([sum(gap for *_, gap in parts) / study.realizations for parts in per_tau])
     if means.size > 1:
         with np.errstate(invalid="ignore", divide="ignore"):
             ratios = means[:-1] / means[1:]
     else:
         ratios = np.array([])
-    taus = np.array([2.0**-e for e in study.tau_exps])
-    return AuxGapResult(study, taus, means, ratios)
+    return AuxGapResult(study, np.array(taus), means, ratios)
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +629,7 @@ def _spatial_chunk(study, first, stop=None, threads=1):
     ]
     noise_maps = [fem_mod.noise_projection_matrix(ops, kref) for ops in meshes]
 
-    n_steps = round(study.T / study.tau)
+    n_steps = step_count(study.T, study.tau)
     for dw in increments(problem.noise, study.tau, n_steps, streams):
         ref.step(dw)
         for run, cmap in zip(fem_runs, noise_maps):

@@ -118,9 +118,9 @@ class Discretization:
         return np.einsum("...m,m->...", values, self.weights)
 
 
-def spectral_discretization(modes, grid_factor=2, grid_points=None):
-    """Sine-basis discretization with a dealiased nodal grid (default M = 2K)."""
-    m = grid_points if grid_points is not None else grid_factor * modes
+def spectral_discretization(modes, grid_points=None):
+    """Sine-basis discretization with a dealiased nodal grid of M intervals (default M = 2K)."""
+    m = 2 * modes if grid_points is None else grid_points
     if m < modes + 1:
         raise ValueError(f"grid with {m} intervals cannot resolve {modes} modes")
     grid = uniform_grid(m)

@@ -148,8 +148,7 @@ def spectral_group_table(modes, tau):
     """Propagator table on the first `modes` Dirichlet sine eigenvalues.
 
     Equal to wave_group_table(eigenvalues(modes), tau); kept as the
-    mode-count entry point that the invariant checks and bench/microgrid.py
-    call.
+    mode-count entry point that bench/microgrid.py and the tests call.
     """
     return wave_group_table(eigenvalues(modes), tau)
 

@@ -188,6 +188,45 @@ class TestStrongConvergence:
         assert 0.5 < res.slope < 1.5
 
 
+# Every study ends its paths at T: a step that does not divide T is an error,
+# not a curve that stops short of T or runs past it.
+@pytest.mark.parametrize("study, config", [
+    pytest.param(ConvergenceStudy, dict(T=0.3), id="converge"),
+    pytest.param(EnergyStudy, dict(T=0.3), id="energy"),
+    pytest.param(EnergyStudy, dict(T=1.0, tau=0.3), id="energy-tau-0.3"),
+    pytest.param(AuxGapStudy, dict(T=0.3), id="aux-gap"),
+    pytest.param(AuxGapStudy, dict(T=0.3, tau_exps=(4,)), id="aux-gap-one-step"),
+    pytest.param(SpatialStudy, dict(T=0.3), id="spatial"),
+])
+def test_every_study_rejects_a_horizon_off_its_steps(study, config):
+    with pytest.raises(ValueError, match="whole number of steps"):
+        study(**config)
+
+
+@pytest.mark.parametrize("study, config", [
+    # scripts/temporal_order.py at default and paper scale, and converge-ladder
+    (ConvergenceStudy, dict(T=1.0, tau_exps=(8, 9, 10, 11, 12), ref_exp=13)),
+    (ConvergenceStudy, dict(T=1.0, tau_exps=(8, 9, 10, 11, 12), ref_exp=14)),
+    (ConvergenceStudy, dict(T=0.5, tau_exps=(6, 7, 8, 9, 10), ref_exp=12)),
+    (EnergyStudy, dict(T=1.0, tau=2.0**-7)),  # scripts/energy_growth.py
+    (EnergyStudy, dict(T=1.0, tau=2.0**-8)),  # energy-diag
+    (AuxGapStudy, dict(T=1.0, tau_exps=(6, 7, 8, 9, 10))),  # scripts/aux_gap.py
+    (SpatialStudy, dict(T=1.0, tau=2.0**-9)),  # scripts/spatial_refinement.py, spatial-fem
+], ids=["temporal-order", "temporal-order-paper", "converge-ladder", "energy-growth",
+        "energy-diag", "aux-gap", "spatial"])
+def test_every_study_accepts_the_configs_it_runs(study, config):
+    assert study(**config).T == config["T"]
+
+
+def test_step_count_takes_the_rule_of_the_cli():
+    assert harness.step_count(1.0, 2.0**-7) == 128
+    assert harness.step_count(0.3, 0.1) == 3  # 0.3 / 0.1 is 2.9999999999999996
+    assert harness.step_count(0.0, 0.5) == 0
+    for T, tau in ((1.0, 0.3), (-1.0, 0.5), (1.0 + 1e-12, 2.0**-7)):
+        with pytest.raises(ValueError):
+            harness.step_count(T, tau)
+
+
 class TestEnergyEvolution:
     def test_conservative_run_is_flat_with_zero_band(self):
         study = EnergyStudy(f="sine", g="zero", modes=16, T=0.25, tau=2.0**-5,
@@ -225,7 +264,7 @@ class TestEnergyEvolution:
                                 realizations=batch, chunk=batch)
             tracemalloc.start()
             try:
-                _energy_chunk(study, 0)
+                _energy_chunk(study, study.tau, 0, trace=True)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -245,7 +284,7 @@ class TestEnergyEvolution:
             assert len(harness._slices(batch, 2, modes)) == 2
             tracemalloc.start()
             try:
-                _energy_chunk(study, 0, None, 2)
+                _energy_chunk(study, study.tau, 0, None, 2, trace=True)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -416,9 +455,9 @@ def _run_layouts(monkeypatch, study_fn, study, chunk_fn):
     body = getattr(harness, chunk_fn)
     calls = []
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(args)
-        return body(*args)
+        return body(*args, **kwargs)
 
     n_chunks = -(-study.realizations // study.chunk)
     # A convergence task steps all its schemes stacked, and there are at
@@ -535,10 +574,7 @@ SLICED = {
     "energy": lambda threads: _energy_chunk(
         EnergyStudy(f="sine", g="sine", modes=32, T=2.0**-2, tau=2.0**-6, realizations=24,
                     seed=32, chunk=5),
-        0, 5, threads),
-    "aux_gap": lambda threads: harness._aux_gap_chunk(
-        AuxGapStudy(f="sine", g="sine", modes=32, T=2.0**-2, realizations=24, seed=33, chunk=5),
-        6, 0, 5, threads),
+        2.0**-6, 0, 5, threads, trace=True),
     # Two 25-row slices of this task would change the FEM noise maps' bits.
     "spatial": lambda threads: harness._spatial_chunk(
         SpatialStudy(f="sine", g="sine", ref_modes=256, h_exps=(3, 4), T=2.0**-3, tau=2.0**-6,
@@ -608,13 +644,13 @@ class TestRowSlices:
         get, put = harness._openblas()
         count = get()
         seen = []
-        body = harness._aux_gap_chunk
+        body = harness._energy_chunk
 
         def recording(*args):
             seen.append((get(), args[-1]))
             return body(*args)
 
-        monkeypatch.setattr(harness, "_aux_gap_chunk", recording)
+        monkeypatch.setattr(harness, "_energy_chunk", recording)
         study = AuxGapStudy(f="sine", g="sine", modes=16, T=2.0**-3, tau_exps=(5,),
                             realizations=4, chunk=2)
         drift_values = model.Problem.drift_values
@@ -715,7 +751,7 @@ def _off_the_caller(body, after):
     return out.get("result"), caller.is_alive()
 
 
-@pytest.mark.parametrize("body", ["convergence", "energy", "aux_gap"])
+@pytest.mark.parametrize("body", ["convergence", "energy"])
 @pytest.mark.parametrize("error", ["radicand", "non-finite"])
 def test_an_error_in_another_slice_reaches_the_caller(one_blas_thread, monkeypatch, body, error):
     # Mid-run, past the energy task's first fold: the error must end the
@@ -758,6 +794,33 @@ def test_an_error_in_another_slice_reaches_the_caller(one_blas_thread, monkeypat
 
 
 class TestAuxGap:
+    def test_the_trace_operator_moves_no_bit_of_the_diagnostics(self):
+        # The aux-gap study steps the energy task without a trace operator;
+        # its gaps and energies must be the bits the energy study steps.
+        study = AuxGapStudy(f="cubic", g="sine", modes=16, T=0.25, tau_exps=(5,),
+                            predictor="extrapolation", realizations=6, seed=4, chunk=3)
+        with_trace = _energy_chunk(study, 2.0**-5, 0, 2, trace=True)
+        without = _energy_chunk(study, 2.0**-5, 0, 2)
+        for a, b in zip(with_trace, without):
+            assert all(x.tobytes() == y.tobytes() for x, y in zip(a[:2], b[:2]))
+            assert a[3] == b[3] > 0
+            assert np.all(np.isfinite(a[2])) and np.all(np.isnan(b[2]))
+
+    def test_worst_gap_spans_the_fold_blocks(self, monkeypatch):
+        # Every path's gap is made to peak at its first step and decay, so a
+        # worst gap kept per block of steps, not per path, reads below 1.
+        monkeypatch.setattr(harness, "_FOLD_STEPS", 5)
+        step = schemes.Integrator.step
+
+        def decaying(self, dw, diagnostics=False):
+            diag = step(self, dw, diagnostics)
+            return replace(diag, aux_gap=np.full_like(diag.aux_gap, 1.0 / self.state.n))
+
+        monkeypatch.setattr(schemes.Integrator, "step", decaying)
+        study = AuxGapStudy(f="sine", g="sine", modes=16, T=0.25, tau_exps=(5, 6),
+                            realizations=4, seed=6, chunk=2)
+        assert np.all(aux_gap_scaling(study).mean_max_gap == 1.0)
+
     def test_zero_drift_keeps_gap_zero(self):
         study = AuxGapStudy(f="zero", g="sine", modes=16, T=0.25, tau_exps=(5, 6),
                             realizations=4, seed=1, chunk=4)
@@ -843,13 +906,13 @@ class TestSpatialRefinement:
 
 
 CHECK_NAMES = [
-    "spectral.trig_identity", "spectral.unitarity_drift", "spectral.group_composition",
+    "spectral.unitarity_drift", "spectral.group_composition",
     "spectral.hoelder_cosine", "spectral.transform_roundtrip", "spectral.parseval_quadrature",
     "noise.increment_variance", "noise.coupling_exact", "noise.replay_determinism",
     "noise.lag1_autocorrelation", "model.gradient_consistency", "model.dealiasing",
     "model.radicand_floor", "schemes.pathwise_energy", "schemes.deterministic_conservation",
     "schemes.substitution_residual", "schemes.solvability", "schemes.onestep_increment_slope",
-    "schemes.moment_bound", "fem.pencil_residual", "fem.mass_orthonormal", "fem.trig_identity",
+    "schemes.moment_bound", "fem.pencil_residual", "fem.mass_orthonormal",
     "fem.energy_conservation", "fem.pathwise_energy", "fem.substitution_residual",
     "fem.ritz_is_interpolation", "fem.spectral_consistency", "harness.error_monotonic",
     "harness.ci_honesty", "harness.determinism",

@@ -207,7 +207,7 @@ class TestDealiasing:
         modes = 32
         problem = make_problem(f=name, g="zero", modes=modes)
         coarse = spectral_discretization(modes)
-        finer = spectral_discretization(modes, grid_factor=4)
+        finer = spectral_discretization(modes, grid_points=4 * modes)
         u = np.zeros(modes)
         u[:8] = np.random.default_rng(3).standard_normal(8) / np.arange(1, 9) ** 2
         from savwave.model import drift_core

@@ -1,10 +1,10 @@
-"""Import hygiene: scipy.linalg never loads, scipy.special only when used.
+"""Import hygiene: no scipy module ever loads.
 
-Every command pays for what `import savwave` loads, so the import graph
-must not pull in scipy.special (the noise-tail footer of `simulate`), and
-the finite element backend, whose eigenpairs are in closed form, must not
-load scipy.linalg at all.  Checked in a fresh interpreter, since this test
-process has loaded both already.
+Every command pays for what `import savwave` loads, and savwave depends on
+numpy alone: the finite element backend's eigenpairs are in closed form and
+the noise-tail footer of `simulate` sums the tail itself, so neither may
+load scipy.  Checked in a fresh interpreter, since this test process has
+loaded scipy already.
 
 The CLI and the harness load neither the invariant checks, the process
 pool nor numpy.random until a command uses them, and a pool forks its
@@ -40,8 +40,8 @@ fem.l2_project(ops, np.cos)
 fem.ritz_project(ops, lambda x: x * (1.0 - x))
 fem.initial_coefficients(ops, make_problem(modes=8))
 pencil = savwave.checks._check_fem_pencil(None, None).value
-loaded = sorted(m for m in sys.modules if m.startswith(("scipy.linalg", "scipy.special")))
 tail = noise.covariance_tail(noise.power_covariance(8))
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 print(json.dumps({"loaded": loaded, "pencil": pencil, "tail": tail}))
 """
 
@@ -81,7 +81,7 @@ def test_cli_and_harness_defer_checks_pool_and_rng_and_workers_fork_with_rng_loa
     assert probe["tasks"] == [[True, ["numpy.random", "_hashlib"]]] * 4
 
 
-def test_import_loads_no_scipy_linalg_or_special_and_deferred_imports_work():
+def test_import_loads_no_scipy_and_deferred_imports_work():
     probe = run_probe()
     assert probe["loaded"] == []
     assert probe["pencil"] <= 1e-13

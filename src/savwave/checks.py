@@ -537,13 +537,15 @@ def invariant_suite(name_filter=None, seed=20260810, mutations=frozenset()):
     'unbalanced_table') so the corresponding checks must fail; this guards the
     suite itself against vacuous passes.  A check whose run aborts with
     `ModelViolationError` or `BlowUpError` is a failed result that names the
-    exception, not an exception out of the suite.
+    exception, not an exception out of the suite.  Each check draws from its
+    own generator, seeded from (seed, check name), so its value does not
+    depend on which checks ran before it.
     """
-    rng = np.random.default_rng(seed)
     results = []
     for name, fn in _CHECKS:
         if name_filter and not name.startswith(name_filter):
             continue
+        rng = np.random.default_rng([seed, *name.encode()])
         try:
             if name in ("schemes.pathwise_energy", "fem.pathwise_energy"):
                 res = fn(rng, seed, mutations=frozenset(mutations))

@@ -150,7 +150,6 @@ class RunConfig:
             raise ConfigError(f"invalid value for converge.norm: {self.norm}")
         if self.reference_scheme not in ("", *SCHEMES):
             raise ConfigError(f"invalid value for converge.reference: {self.reference_scheme}")
-        self.steps()
         return self
 
 
@@ -312,6 +311,7 @@ def _trajectory(config):
     the sine backend.  The path aborts with BlowUpError once
     Integrator.sanitize excludes it.
     """
+    n_steps = config.steps()
     fem = config.backend == "fem"
     noise_modes = config.noise_modes or (config.elements if fem else config.modes)
     problem = make_problem(
@@ -331,7 +331,6 @@ def _trajectory(config):
     integ = Integrator(config.variant, config.tau, problem, ops,
                        _batched_initial(problem, ops, 1, initial), config.predictor,
                        trace_fn=trace_fn)
-    n_steps = config.steps()
     rows = np.empty((n_steps + 1, len(_TRAJECTORY_FIELDS)))
     s, v0 = integ.state, integ.energy()
     rows[0] = np.concatenate([v0, v0 - s.q**2 + (s.rad - problem.delta0), s.q, [0.0, 0.0],
@@ -412,14 +411,17 @@ def cmd_converge(config, out_dir, svg=False, workers=1, paper_scale=False):
 
 
 def cmd_energy(config, out_dir, svg=False, workers=1, paper_scale=False):
+    try:
+        study = EnergyStudy(
+            f=config.f, g=config.g, sigma=config.sigma, delta0=config.delta0,
+            modes=config.modes, noise_decay=config.noise_decay, T=config.T, tau=config.tau,
+            scheme=config.variant, predictor=config.predictor,
+            realizations=5000 if paper_scale else config.realizations,
+            seed=config.seed, chunk=config.chunk,
+        )
+    except ValueError as exc:  # the only study check RunConfig.validate leaves: tau divides T
+        raise ConfigError(f"invalid value for time.tau: {exc}") from exc
     out_dir.mkdir(parents=True, exist_ok=True)
-    study = EnergyStudy(
-        f=config.f, g=config.g, sigma=config.sigma, delta0=config.delta0,
-        modes=config.modes, noise_decay=config.noise_decay, T=config.T, tau=config.tau,
-        scheme=config.variant, predictor=config.predictor,
-        realizations=5000 if paper_scale else config.realizations,
-        seed=config.seed, chunk=config.chunk,
-    )
     result = energy_evolution(study, workers=workers)
     rows = [
         (n, t, m, se, p)

@@ -11,15 +11,17 @@ The groups depend on the study alone, never on the worker count, and sums
 stay per chunk, so grouping changes no summation order.  A convergence task
 steps all the schemes it compares on one (schemes, rows, modes) state, so
 each fine increment is drawn, synthesized and summed into the coarse ones
-once; its tasks are split by rows only.  A study sends every group, of every
-step size it compares, through one process pool.  Every study runs numpy's
-OpenBLAS at one thread, which the pool's workers inherit across the fork; a
-study run in-process takes that OpenBLAS's thread count as its budget: at
-the mode counts where a row's GEMM bits do not depend on the rows around
-it, each sine-spectral task cuts its rows into up to that many contiguous
-slices (`_slices`), as many as hold enough values to pay for a thread, and
-each slice steps its own rows and streams on its own Python thread, so
-every row takes the bits it takes in a pool worker.  The energy and aux-gap
+once; its tasks are split by rows only.  A study deals every group, of every
+step size it compares, round-robin to W worker processes that it forks
+itself (`_forked_map`); each worker steps its groups in order and hands its
+results back through its own pipe.  Every study runs numpy's OpenBLAS at one
+thread, which the workers inherit across the fork; a study run in-process
+takes that OpenBLAS's thread count as its budget: at the mode counts where
+a row's GEMM bits do not depend on the rows around it, each sine-spectral
+task cuts its rows into up to that many contiguous slices (`_slices`), as
+many as hold enough values to pay for a thread, and each slice steps its
+own rows and streams on its own Python thread, so every row takes the bits
+it takes in a worker process.  The energy and aux-gap
 studies share one diagnostics task (`_energy_chunk`), which steps its slices
 a block of steps at a time and folds their per-step values into its chunk
 sums between blocks, on the calling thread.  Every study rejects a horizon T
@@ -34,6 +36,8 @@ element solutions evaluated on the fine grid one block of points at a time.
 from __future__ import annotations
 
 import ctypes
+import os
+import pickle
 import threading
 from dataclasses import dataclass
 from functools import cache, partial
@@ -337,9 +341,10 @@ def _map_chunks(fn, study, modes, workers, keys=(None,), stack=1):
     in up to `threads` row slices, and returns one result per chunk.  The
     worker count plays no part in the groups.  The thread count of numpy's
     OpenBLAS (`_openblas`) is read once as the budget, and OpenBLAS runs one
-    thread until the tasks are done, also when one raises.  All tasks share
-    one pool, whose workers are forked with that setting and call fn without
-    `threads`.  In-process tasks get the budget, 1 without an OpenBLAS.
+    thread until the tasks are done, also when one raises.  With several
+    workers the tasks go to forked children (`_forked_map`), which inherit
+    that setting and call fn without `threads`.  In-process tasks get the
+    budget, 1 without an OpenBLAS.
     """
     groups = _groups(study, modes, stack)
     n_chunks = groups[-1][1]
@@ -351,21 +356,90 @@ def _map_chunks(fn, study, modes, workers, keys=(None,), stack=1):
         if workers <= 1 or len(tasks) <= 1:
             parts = [fn(*task, budget) for task in tasks]
         else:
-            # Imported here, so an in-process run never loads multiprocessing.
             # Forked workers inherit numpy.random (which maps OpenSSL through
             # secrets -> hmac), loaded once here rather than again in each.
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
             import numpy.random  # noqa: F401
 
-            with ProcessPoolExecutor(max_workers=min(workers, len(tasks)),
-                                     mp_context=multiprocessing.get_context("fork")) as pool:
-                parts = list(pool.map(fn, *zip(*tasks)))
+            parts = _forked_map(fn, tasks, min(workers, len(tasks)))
     finally:
         put(budget)
     flat = [chunk for part in parts for chunk in part]
     return [flat[j:j + n_chunks] for j in range(0, len(flat), n_chunks)]
+
+
+def _forked_map(fn, tasks, n):
+    """[fn(*task) for task in tasks], task i run in forked child i % n, in task order.
+
+    Each child sends one pickled message through its own pipe, (None, its
+    results) or (i, the exception task i raised), and ends in os._exit, so
+    it never returns into the caller's frames.  Once every child is reaped,
+    the exception of the lowest failing task is raised, as `map` would.  A
+    child that ends without a message fails the map at once; so does this
+    process, and then it kills and reaps the children still running.
+    """
+    pids, pipes, messages = [], [], []
+    try:
+        for w in range(n):
+            r, wr = os.pipe()
+            pipes.append(open(r, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _worker(fn, tasks, range(w, len(tasks), n), wr)
+                pids.append(pid)
+            finally:
+                os.close(wr)
+        for w, pipe in enumerate(pipes):
+            data = pipe.read()
+            status = os.waitpid(pids[w], 0)[1]
+            pids[w] = None
+            if status or not data:
+                code = os.waitstatus_to_exitcode(status)
+                how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
+                raise RuntimeError(f"worker {w} ended without a result ({how})")
+            messages.append(pickle.loads(data))
+    except BaseException:
+        import signal
+
+        for pid in pids:
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        raise
+    finally:
+        for pipe in pipes:
+            pipe.close()
+    failed = [m for m in messages if m[0] is not None]
+    if failed:
+        raise min(failed, key=lambda m: m[0])[1]
+    parts = [None] * len(tasks)
+    for w, (_, results) in enumerate(messages):
+        parts[w::n] = results
+    return parts
+
+
+def _worker(fn, tasks, indices, fd):
+    """A forked child of `_forked_map`: run the tasks, write the message to fd, exit."""
+    code = 1
+    try:
+        results = []
+        for i in indices:
+            try:
+                results.append(fn(*tasks[i]))
+            except BaseException as exc:  # raised again in the study's process
+                try:
+                    data = pickle.dumps((i, exc))
+                    pickle.loads(data)
+                except Exception:
+                    data = pickle.dumps((i, RuntimeError(f"task {i} raised {exc!r}")))
+                break
+        else:
+            data = pickle.dumps((None, results))
+        with open(fd, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 # ---------------------------------------------------------------------------

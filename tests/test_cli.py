@@ -130,6 +130,20 @@ class TestConfig:
         assert "mc.seed" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_converge_ignores_a_tau_that_does_not_divide_the_horizon(self, tmp_path, capsys):
+        # converge steps its ladder and reference steps only; simulate and
+        # energy step time.tau, which must end at time.T
+        path = write(tmp_path / "c.txt",
+                     BASE.replace("time.tau = 2^-5", "time.tau = 0.3")
+                     .replace("converge.tau_exps = 4 5 6", "converge.tau_exps = 4 5")
+                     .replace("converge.ref_exp = 8", "converge.ref_exp = 6"))
+        assert main(["converge", "--config", path, "--out", str(tmp_path / "c")]) == 0
+        assert (tmp_path / "c" / "converge.csv").exists()
+        for command in ("energy", "simulate"):
+            assert main([command, "--config", path, "--out", str(tmp_path / command)]) == 2
+            assert "invalid value for time.tau" in capsys.readouterr().err
+            assert not (tmp_path / command).exists()
+
     def test_empty_ladder_is_a_config_error(self, tmp_path, capsys):
         path = write(tmp_path / "c.txt", BASE.replace("converge.tau_exps = 4 5 6",
                                                       "converge.tau_exps ="))
@@ -314,6 +328,26 @@ class TestConverge:
         main(["converge", "--config", cfg, "--out", str(tmp_path / "w8"), "--workers", "8"])
         assert (tmp_path / "w1" / "converge.csv").read_bytes() == \
                (tmp_path / "w8" / "converge.csv").read_bytes()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_a_task_error_exits_3_at_any_worker_count(self, tmp_path, capsys, monkeypatch,
+                                                      workers):
+        # the radicand error a pool worker raises reaches the CLI as in-process
+        from savwave import model
+
+        drift_values = model.Problem.drift_values
+
+        def shifted(self, u, out=None):  # F~ - 2 takes F(u) + delta0 below zero
+            f, F = drift_values(self, u, out)
+            return f, F - 2.0
+
+        monkeypatch.setattr(model.Problem, "drift_values", shifted)
+        # two stacked schemes make two tasks, so two workers fork
+        cfg = write(tmp_path / "c.txt", BASE.replace("converge.schemes = exponential",
+                                                     "converge.schemes = exponential midpoint"))
+        assert main(["converge", "--config", cfg, "--out", str(tmp_path / "out"),
+                     "--workers", workers]) == 3
+        assert "numerical abort" in capsys.readouterr().err
 
     def test_two_seeds_agree_within_three_sigma(self, tmp_path):
         from savwave.harness import strong_convergence

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -318,9 +319,9 @@ def _openblas_threads():
     return counts
 
 
-def _pooled(fn):
-    """fn(key, first, stop) for two keys on the production pool of two workers, per key."""
-    return harness._map_chunks(fn, EnergyStudy(realizations=1, chunk=1), 4, 2, keys=(0, 1))
+def _pooled(fn, keys=(0, 1), workers=2):
+    """fn(key, first, stop) for each key, one task per key, on `workers` forked workers."""
+    return harness._map_chunks(fn, EnergyStudy(realizations=1, chunk=1), 4, workers, keys=keys)
 
 
 def _worker_blas_threads(key, first, stop):
@@ -391,21 +392,100 @@ def test_pooled_study_restores_the_blas_threads_also_when_a_task_raises():
         put(count)
 
 
-def test_pool_forks_its_workers(monkeypatch):
+def _pids(key, first, stop):
+    return [(os.getpid(), os.getppid())]
+
+
+def test_pool_tasks_run_in_direct_children():
     # Workers inherit the one-thread OpenBLAS setting and numpy.random across
-    # the fork, so the pool must fork whatever the platform's default is.
-    import concurrent.futures
+    # the fork, so each task must run in a child forked by the study itself.
+    seen = [task for (task,) in _pooled(_pids)]
+    assert [ppid for _, ppid in seen] == [os.getpid()] * 2
+    assert len({pid for pid, _ in seen} - {os.getpid()}) == 2
 
-    methods = []
 
-    class Recording(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, *args, mp_context=None, **kwargs):
-            methods.append(None if mp_context is None else mp_context.get_start_method())
-            super().__init__(*args, mp_context=mp_context, **kwargs)
+def _exit_or_wait(key, first, stop):
+    """Key 0 exits its process, key 1 kills it; any other would run for a minute."""
+    import signal
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
-    _pooled(_worker_blas_threads)
-    assert methods == ["fork"]
+    if key == 0:
+        os._exit(7)
+    if key == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    time.sleep(60)
+    return [key]
+
+
+@pytest.mark.parametrize("keys, status", [
+    ((0, 2), "exit code 7"),
+    ((1, 2), "killed by signal 9"),
+])
+def test_a_worker_that_dies_fails_the_study_and_leaves_no_child(keys, status):
+    # The other worker is still running when the dead one is found: it must
+    # be killed and reaped, not waited for.
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match=f"worker 0 ended without a result \\({status}\\)"):
+        _pooled(_exit_or_wait, keys=keys)
+    assert time.monotonic() - start < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _fails_late_or_early(key, first, stop):
+    """Keys 1 and 2 fail, key 2 (on worker 0, read first) well before key 1."""
+    if key == 1:
+        time.sleep(0.5)
+    if key in (1, 2):
+        raise ValueError(f"task {key} failed")
+    return [key]
+
+
+def test_the_lowest_failing_task_raises():
+    with pytest.raises(ValueError, match="task 1 failed"):
+        _pooled(_fails_late_or_early, keys=(0, 1, 2, 3))
+
+
+class _TwoArgError(Exception):
+    """Pickles, but does not unpickle: its args hold one value of two required."""
+
+    def __init__(self, what, where):
+        super().__init__(what)
+        self.where = where
+
+
+def _unpicklable_failure(key, first, stop):
+    if key == 0:
+        return [key]
+    if key == 1:
+        raise _TwoArgError("lost", "here")
+    exc = ValueError("holds a lock")
+    exc.lock = threading.Lock()
+    raise exc
+
+
+@pytest.mark.parametrize("key, shown", [(1, "_TwoArgError('lost')"),
+                                        (2, "ValueError('holds a lock')")])
+def test_an_unpicklable_task_error_reaches_the_caller(key, shown):
+    result, alive = _off_the_caller(lambda: _pooled(_unpicklable_failure, keys=(0, key)),
+                                    lambda thread: None)
+    assert not alive
+    assert isinstance(result, RuntimeError)
+    assert str(result) == f"task 1 raised {shown}"
+
+
+def test_more_workers_than_tasks(monkeypatch):
+    forks = []
+    fork = os.fork
+
+    def counting():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting)
+    parts = _pooled(lambda key, first, stop: [(key, os.getpid())], keys=(0, 1, 2), workers=8)
+    assert len(forks) == 3
+    assert [key for ((key, _),) in parts] == [0, 1, 2]
+    assert len({pid for ((_, pid),) in parts} - {os.getpid()}) == 3
 
 
 FEM_POOL_PROBE = """
@@ -933,6 +1013,13 @@ class TestInvariantSuite:
 
     def test_suite_runs_exactly_the_named_checks_in_order(self, default_suite):
         assert [r.name for r in default_suite] == CHECK_NAMES
+
+    @pytest.mark.parametrize("name", CHECK_NAMES)
+    def test_a_check_alone_measures_its_value_in_the_full_run(self, default_suite, name):
+        # each check draws from its own generator, whatever ran before it
+        alone, = invariant_suite(name_filter=name)
+        full, = [r for r in default_suite if r.name == name]
+        assert repr(alone.value) == repr(full.value)
 
     def test_filter_selects_module_prefix(self):
         results = invariant_suite(name_filter="spectral")

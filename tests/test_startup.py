@@ -6,10 +6,11 @@ the noise-tail footer of `simulate` sums the tail itself, so neither may
 load scipy.  Checked in a fresh interpreter, since this test process has
 loaded scipy already.
 
-The CLI and the harness load neither the invariant checks, the process
-pool nor numpy.random until a command uses them, and a pool forks its
-workers with numpy.random (and the OpenSSL it maps) already loaded, so no
-worker loads it again.
+The CLI and the harness load neither the invariant checks nor numpy.random
+until a command uses them, and no study loads `multiprocessing` or
+`concurrent.futures`: a study with several workers forks them itself, with
+numpy.random (and the OpenSSL it maps) already loaded, so no worker loads it
+again, and reads their results from pipes.
 
 Every name a module lists in `__all__` must resolve, so deleting a function
 leaves no stale export.  The package itself exports only `__version__`;
@@ -51,7 +52,8 @@ import json, os, sys
 import savwave.cli, savwave.harness
 from savwave.harness import EnergyStudy, _map_chunks
 
-LAZY = ("savwave.checks", "concurrent.futures.process", "numpy.random")
+POOLS = ("multiprocessing", "concurrent.futures")
+LAZY = ("savwave.checks", "numpy.random", *POOLS)
 at_import = [m for m in LAZY if m in sys.modules]
 parent = os.getpid()
 
@@ -62,7 +64,8 @@ def task(key, first, stop):
 
 
 parts = _map_chunks(task, EnergyStudy(realizations=2, chunk=1), 4, 2, keys=("a", "b"))
-print(json.dumps({"at_import": at_import, "tasks": [c for part in parts for c in part]}))
+print(json.dumps({"at_import": at_import, "tasks": [c for part in parts for c in part],
+                  "pools": [m for m in POOLS if m in sys.modules]}))
 """
 
 
@@ -78,6 +81,7 @@ def run_probe(code=PROBE):
 def test_cli_and_harness_defer_checks_pool_and_rng_and_workers_fork_with_rng_loaded():
     probe = run_probe(LAZY_PROBE)
     assert probe["at_import"] == []
+    assert probe["pools"] == []
     assert probe["tasks"] == [[True, ["numpy.random", "_hashlib"]]] * 4
 
 

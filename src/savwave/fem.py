@@ -123,7 +123,7 @@ def noise_projection_matrix(ops, noise_modes):
     interior nodal vector as an element-space function, express it in the
     mass-orthonormal eigenbasis.
     """
-    return ops.analysis @ _synthesis_matrix(noise_modes, ops.modes + 1)
+    return ops.analysis @ np.ascontiguousarray(_synthesis_matrix(noise_modes, ops.modes + 1).T)
 
 
 def linear_interp(x_nodes, values, x_eval):

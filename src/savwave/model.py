@@ -104,10 +104,11 @@ class Discretization:
         """C-ordered synth.T of this instance: a view of a spectral synth, else a copy."""
         return np.ascontiguousarray(self.synth.T)
 
-    def nodal(self, coeffs):
+    def nodal(self, coeffs, out=None):
         # coeffs is a batch (..., B, K), multiplied into the C-ordered transpose,
-        # which OpenBLAS's small GEMM runs faster than the transposed view.
-        return coeffs @ self.synth_t
+        # which OpenBLAS's small GEMM runs faster than the transposed view; the
+        # values land in `out` when given.
+        return np.matmul(coeffs, self.synth_t, out=out)
 
     def project(self, values):
         return values @ self.analysis.T
@@ -124,9 +125,10 @@ def spectral_discretization(modes, grid_points=None):
     if m < modes + 1:
         raise ValueError(f"grid with {m} intervals cannot resolve {modes} modes")
     grid = uniform_grid(m)
-    # One read-only sine matrix: synth is a view of synth_t.  analysis is the
-    # transpose of a C-ordered (M+1, K) product; the GEMMs' bits depend on it.
-    synth_t = np.ascontiguousarray(_synthesis_matrix(modes, m).T)
+    # One read-only sine matrix, built in place as synth_t: synth is a view of
+    # it.  analysis is the transpose of a C-ordered (M+1, K) product; the
+    # GEMMs' bits depend on it.
+    synth_t = _synthesis_matrix(modes, m)
     synth_t.setflags(write=False)
     analysis = np.multiply(synth_t.T, grid.weights[:, None], order="C").T
     return Discretization(eigenvalues(modes), grid, synth_t.T, analysis)

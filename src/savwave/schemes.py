@@ -74,7 +74,12 @@ class SavState:
     must describe the state exactly, and code that builds a state from
     modified arrays leaves it None.  `vals` (nodal u), `rad` (F(u) + delta0),
     `fvals` (nodal f(u)) and `V` (modified energy per path) come from a step
-    with diagnostics, or from initial_state (all but `V`).  Every step sets
+    with diagnostics, or from initial_state (all but `V`).  A diagnostics
+    step leaves `fvals` and `vals` in slots 0 and 1 of one (2, ..., M) array,
+    which the next step may take as its analysis buffer and write over, but
+    only when its owner hands the state over unread (Integrator.step, whose
+    `state` property marks a state it gives out as shared); a state anyone
+    else holds keeps its bytes.  Every step sets
     `energy_sum` = 1/2 (|sqrt(lam) u|^2 + |v|^2) + |q|^2 over the batch, the
     summed V up to round-off: as V >= 0 path by path, `energy_sum` <=
     ENERGY_GUARD/2 proves every entry finite and every path's V below the
@@ -154,56 +159,83 @@ def _check_finite(u, v, q, n):
         raise BlowUpError(f"non-finite state produced at step {n}")
 
 
-def _step_inputs(state, dw, problem, ops, u_hat):
-    """Drift direction b, noise increment G = P_K g(u)*dW and nodal g(u) of one step.
+def _step_inputs(state, dw, problem, ops, u_hat, trace_fn=None, owned=False):
+    """Drift direction b, noise increment G = P_K g(u)*dW, trace term and buffer of one step.
 
     u is synthesized once (or taken from the state's cache) and serves both
     g(u) and, when u_hat is u, the joint drift values f(u_hat), F(u_hat)
     (Problem.drift_values); a diffusion that is the drift (Problem.g_is_f,
     e.g. f = g = sine) takes f's values of u.  Both analyses share one
-    `project` call on [f; g*dW]; a drift pair evaluated here writes f straight
-    into that buffer.  Nodal u_hat is released before dW is synthesized, and
-    nodal dW once it is multiplied into the buffer.
+    `project` call on the buffer [f; g*dW] of shape (2, ..., B, M).  When the
+    caller owns the state (`owned`) and its cache holds nodal f(u) and u in
+    slots 0 and 1 of such an array (a diagnostics step left it), that array
+    is the buffer, with f(u) already in place; otherwise the buffer is fresh.
+    A drift pair evaluated here writes f straight into slot 0, also the pair
+    at u that an extrapolated predictor with g = f needs only for g(u) =
+    f(u).  dW is synthesized into slot 1 and multiplied by g(u) there,
+    unless dW broadcasts against the state (stacked schemes) or g(u) is
+    that slot (g the identity): then nodal dW is a temporary.  The trace
+    term is taken from g(u) before it is written over, None without
+    `trace_fn`.  Only then is an extrapolated u_hat synthesized (a
+    temporary) and its drift pair written into slot 0.  The buffer is
+    returned for the diagnostics to reuse.
     """
     u = state.u
     vals = ops.nodal(u) if state.vals is None else state.vals
     shape = np.broadcast_shapes(vals.shape, dw.shape[:-1] + vals.shape[-1:])
-    stacked = np.empty((2,) + shape)
     f_u, rad = state.fvals, state.rad
-    if u_hat is None or u_hat is u:
-        if f_u is None or rad is None:
-            f_u, F_u = problem.drift_values(vals, out=stacked[0])
-            rad = radicand(F_u, problem, ops)
-        else:
-            stacked[0] = f_u
-    else:
-        _, F_hat = problem.drift_values(ops.nodal(u_hat), out=stacked[0])
-        rad = radicand(F_hat, problem, ops)
+    buf = vals.base if owned and f_u is not None else None
+    carried = buf is not None and f_u.base is buf and buf.shape == (2,) + shape
+    if not carried:
+        buf = np.empty((2,) + shape)
+    f_slot, g_slot = buf
+    extrapolated = u_hat is not None and u_hat is not u
+    if extrapolated:
         if problem.g_is_f and f_u is None:
-            f_u = problem.drift_values(vals)[0]
+            f_u = problem.drift_values(vals, out=f_slot)[0]
+    elif f_u is None or rad is None:
+        f_u, F_u = problem.drift_values(vals, out=f_slot)
+        rad = radicand(F_u, problem, ops)
+        del F_u
+    elif not carried:
+        f_slot[...] = f_u
     g_vals = f_u if problem.g_is_f else problem.g(vals)
-    np.multiply(g_vals, ops.nodal(dw), out=stacked[1])
-    coeffs = ops.project(stacked.reshape(-1, shape[-1]))
+    del vals
+    trace = None if trace_fn is None else trace_fn(g_vals)
+    if dw.shape[:-1] == shape[:-1] and not np.may_share_memory(g_vals, g_slot):
+        ops.nodal(dw, out=g_slot)
+        g_slot *= g_vals
+    else:
+        np.multiply(g_vals, ops.nodal(dw), out=g_slot)
+    del g_vals
+    if extrapolated:
+        _, F_hat = problem.drift_values(ops.nodal(u_hat), out=f_slot)
+        rad = radicand(F_hat, problem, ops)
+        del F_hat
+    coeffs = ops.project(buf.reshape(-1, shape[-1]))
     drift, g_inc = coeffs.reshape((2,) + shape[:-1] + coeffs.shape[-1:])
     drift /= np.sqrt(rad)[..., None]
-    return drift, g_inc, g_vals
+    return drift, g_inc, trace, buf
 
 
 def _diagnostics(problem, ops, n, v_old, new_u, new_v, new_q, v_dot_g, g_sq, trace, denom,
-                 energy_sum):
+                 energy_sum, buf):
     """(new state carrying nodal u_{n+1}, F(u_{n+1}) + delta0, f(u_{n+1}) and V, StepDiagnostics).
 
     n and v_old = V_n are the pre-step index and energy; v_dot_g = <v_n, G_n>
     and g_sq = |G_n|^2 are the energy law's noise terms, taken by the caller
-    so that G_n is released before u_{n+1} is synthesized.
+    so that G_n is released before u_{n+1} is synthesized.  u_{n+1} is
+    synthesized into slot 1 of the step's buffer `buf` and f(u_{n+1}) lands
+    in slot 0, so the new state's `vals` and `fvals` are the two slots of
+    one array.
     """
     lam = ops.lam
     # modified_energy's sum order: V = h + q^2 and V1 = h + F share h.
     h = 0.5 * _dot(lam * new_u, new_u) + 0.5 * _dot(new_v, new_v)
     v_new = h + new_q**2
     residual = v_new - v_old - v_dot_g - 0.5 * g_sq
-    vals_new = ops.nodal(new_u)
-    f_vals_new, F_new = problem.drift_values(vals_new)
+    vals_new = ops.nodal(new_u, out=buf[1])
+    f_vals_new, F_new = problem.drift_values(vals_new, out=buf[0])
     rad_new = radicand(F_new, problem, ops)
     f_new = rad_new - problem.delta0
     aux_gap = np.abs(np.sqrt(rad_new) - new_q)
@@ -222,7 +254,7 @@ def _diagnostics(problem, ops, n, v_old, new_u, new_v, new_q, v_dot_g, g_sq, tra
 
 
 def step_exponential_sav(
-    state, dw, table, problem, ops, u_hat=None, diagnostics=True, trace_fn=None
+    state, dw, table, problem, ops, u_hat=None, diagnostics=True, trace_fn=None, owned=False
 ):
     """One SAV step on the propagator `table`, the only stepper of both schemes.
 
@@ -237,33 +269,42 @@ def step_exponential_sav(
     [f(u_hat); g(u) dW], and one joint evaluation of the drift f and its
     antiderivative (Problem.drift_values: one tan and no sin or cos for the
     sine pair), at u or, with `diagnostics`, at u_{n+1}; an extrapolated
-    u_hat adds one at u_hat.  A pair evaluated inside the step writes f
-    straight into the analysis buffer, and when g is f, g takes f's values
-    of u.  With `diagnostics`, the nodal values of u_{n+1}, f(u_{n+1}) and
-    F(u_{n+1}) + delta0 ride on the returned state, so the next step reuses
-    them, and so does V_{n+1}.  The rank-one update is four row dots and
-    elementwise ops written in place into five fresh (..., K) arrays: at the
-    batch sizes the studies run, numpy's fixed cost per call, not
-    arithmetic, sets its pace.  For the same reason the new state is
-    checked as a whole: three dots give its summed energy `energy_sum`
-    (carried on the returned state), and only when that exceeds
-    ENERGY_GUARD/2, inf and NaN included, are u, v and q scanned entry by
-    entry for a non-finite value.
+    u_hat adds one at u_hat.  One (2, ..., B, M) array is the step's only
+    nodal scratch: the analysis buffer, into which the drift pair writes f,
+    dW is synthesized and g multiplied (nodal dW is a temporary only where
+    it broadcasts over stacked schemes or g(u) is nodal u itself), and with
+    `diagnostics` the home of nodal u_{n+1} (slot 1) and f(u_{n+1}) (slot
+    0).  Those ride on the returned state with F(u_{n+1}) + delta0 and
+    V_{n+1}, so the next step reuses them; when that step may write over
+    the state (`owned`), the array itself is its analysis buffer, with f
+    already in place, and otherwise the buffer is fresh.  The rank-one
+    update is four row dots and elementwise ops written in place into five
+    fresh (..., K) arrays: at the batch sizes the studies run, numpy's fixed
+    cost per call, not arithmetic, sets its pace.  For the same reason the
+    new state is checked as a whole: three dots give its summed energy
+    `energy_sum` (carried on the returned state), and only when that
+    exceeds ENERGY_GUARD/2, inf and NaN included, are u, v and q scanned
+    entry by entry for a non-finite value.
 
-    The step drops `state` once its inputs are taken, which frees the
-    state's cache when the caller handed over its only reference
-    (Integrator.step).  A diagnostics step takes the energy law's pre-step
-    terms <v_n, G_n>, |G_n|^2 and the trace term right after the update, then
-    drops the update's scratch arrays, the [b; G] coefficients and g(u_n):
-    while it synthesizes u_{n+1} and evaluates the drift there it holds only
-    u_n, v_n, u_{n+1}, v_{n+1} and three nodal arrays: u_{n+1} and the two
-    that the drift pair is evaluated into.
+    `owned` says that the caller hands over the state's only reference and
+    holds none of its arrays (Integrator.step), so the step may write over
+    its cached nodal arrays; by default no array of `state` is written.  The
+    step drops `state` once its inputs are taken, which frees what the
+    buffer does not reuse.  A diagnostics step takes the trace term from
+    g(u_n) before the analysis, and the energy law's pre-step terms
+    <v_n, G_n> and |G_n|^2 right after the update; then it drops the
+    update's scratch arrays and the [b; G] coefficients: while it
+    synthesizes u_{n+1} and evaluates the drift there it holds only u_n,
+    v_n, u_{n+1}, v_{n+1}, the buffer and the antiderivative values.
     """
     u, v, q, n = state.u, state.v, state.q, state.n
     if diagnostics:
         v_old = modified_energy(u, v, q, ops.lam) if state.V is None else state.V
-    b, g_inc, g_vals = _step_inputs(state, dw, problem, ops, u_hat)
+    b, g_inc, trace, buf = _step_inputs(state, dw, problem, ops, u_hat,
+                                        trace_fn if diagnostics else None, owned)
     del state
+    if not diagnostics:
+        del buf
 
     # Every (..., K) array below is fresh, so the in-place ops touch nothing a
     # caller holds.  Each line keeps the evaluation order of the formula in
@@ -308,10 +349,11 @@ def step_exponential_sav(
     del tmp, a1b, qa1b
     v_dot_g = _dot(v, g_inc)
     g_sq = _dot(g_inc, g_inc)
-    trace = np.full(np.shape(new_q), np.nan) if trace_fn is None else trace_fn(g_vals)
-    del b, g_inc, g_vals
+    if trace is None:
+        trace = np.full(np.shape(new_q), np.nan)
+    del b, g_inc
     return _diagnostics(
-        problem, ops, n, v_old, new_u, new_v, new_q, v_dot_g, g_sq, trace, denom, energy_sum
+        problem, ops, n, v_old, new_u, new_v, new_q, v_dot_g, g_sq, trace, denom, energy_sum, buf
     )
 
 
@@ -383,6 +425,14 @@ class Integrator:
     broadcasts from (B, K).  Each slice s takes the bits the unstacked
     scheme s would.  `step` hands the stepper its only reference to the
     state, so an Integrator whose step raised holds none: callers abort.
+
+    Ownership: a state that `step` made is the Integrator's alone until
+    someone reads `state`, so the next step may write over its nodal cache,
+    taking the array that holds nodal u and f(u) as its analysis buffer
+    (step_exponential_sav, `owned`).  Reading `state` shares the state with
+    the reader, as does setting it or passing it to the constructor: the
+    next step then writes over none of its arrays and analyses a fresh
+    buffer.
     """
 
     def __init__(self, scheme, tau, problem, ops, state, predictor="identity", trace_fn=None):
@@ -394,7 +444,7 @@ class Integrator:
             raise ValueError(f"unknown predictor '{predictor}'; choose from {PREDICTORS}")
         self.problem = problem
         self.ops = ops
-        self.state = state
+        self.state = state  # the caller may hold it: shared
         self.trace_fn = trace_fn
         # The extrapolation predictor's memory u_{n-1}; the identity predictor keeps none.
         self.u_prev = state.u.copy() if predictor == "extrapolation" else None
@@ -403,24 +453,36 @@ class Integrator:
             np.stack([getattr(t, f) for t in tables])[:, None]
             for f in ("lam", "cos", "sin", "sqrt_lam", "a1", "a2")))
 
+    @property
+    def state(self):
+        """The current state, shared from here on: no later step writes over its arrays."""
+        self._owned = False
+        return self._state
+
+    @state.setter
+    def state(self, state):
+        self._state, self._owned = state, False
+
     def _take_state(self):
-        state, self.state = self.state, None
+        state, self._state = self._state, None
         return state
 
     def step(self, dw, diagnostics=False):
-        u = u_hat = self.state.u
+        u = u_hat = self._state.u
         if self.u_prev is not None:
             u_hat = 0.5 * (3.0 * u - self.u_prev)
             self.u_prev = u
-        self.state, diag = step_exponential_sav(
+        owned = self._owned
+        self._state, diag = step_exponential_sav(
             self._take_state(), dw, self.table, self.problem, self.ops,
-            u_hat=u_hat, diagnostics=diagnostics, trace_fn=self.trace_fn,
+            u_hat=u_hat, diagnostics=diagnostics, trace_fn=self.trace_fn, owned=owned,
         )
+        self._owned = True
         return diag
 
     def energy(self):
         """Modified energy V per path; a state's cached V itself, not a copy, if it has one."""
-        s = self.state
+        s = self._state
         return modified_energy(s.u, s.v, s.q, self.ops.lam) if s.V is None else s.V
 
     def sanitize(self, excluded):
@@ -435,7 +497,8 @@ class Integrator:
         flag per path, (S, B) for a stack of S schemes; a (1, B) stack, such
         as a reference shared by S schemes, marks a bad path in all S.
         """
-        total = self.state.energy_sum
+        state = self._state
+        total = state.energy_sum
         if total is not None and total <= _HEALTHY_SUM:
             return excluded
         ok = self.energy() <= ENERGY_GUARD
@@ -445,11 +508,11 @@ class Integrator:
         if (bad & ~excluded).any():
             excluded |= bad
             keep = ~bad[..., None]
-            self.state = SavState(
-                np.where(keep, self.state.u, 0.0),
-                np.where(keep, self.state.v, 0.0),
-                np.where(bad, np.sqrt(self.problem.delta0), self.state.q),
-                self.state.n,
+            self._state = SavState(
+                np.where(keep, state.u, 0.0),
+                np.where(keep, state.v, 0.0),
+                np.where(bad, np.sqrt(self.problem.delta0), state.q),
+                state.n,
             )
             if self.u_prev is not None:
                 self.u_prev = np.where(keep, self.u_prev, 0.0)

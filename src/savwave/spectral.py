@@ -166,13 +166,16 @@ def sine_values(x, modes):
 
 
 def _synthesis_matrix(modes, grid_points):
-    """(grid_points+1, modes) map from coefficients to nodal values on x_j = j/M.
+    """(modes, grid_points+1) matrix sqrt(2)*sin(k*pi*j/M): synthesis onto x_j = j/M, transposed.
 
-    Endpoint rows are exactly zero (Dirichlet), not floating sin(k*pi).
+    Built in place in this C-ordered layout, with the bits of that
+    expression.  Endpoint columns are exactly zero (Dirichlet), not floating
+    sin(k*pi).
     """
-    j = np.arange(grid_points + 1)
-    k = np.arange(1, modes + 1)
-    mat = np.sqrt(2.0) * np.sin(np.pi * np.outer(j, k) / grid_points)
-    mat[0, :] = 0.0
-    mat[-1, :] = 0.0
+    mat = np.multiply.outer(np.arange(1.0, modes + 1), np.arange(grid_points + 1.0))
+    mat *= np.pi
+    mat /= grid_points
+    np.sin(mat, out=mat)
+    mat *= np.sqrt(2.0)
+    mat[:, [0, -1]] = 0.0
     return mat

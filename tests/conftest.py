@@ -1,8 +1,20 @@
-"""Suite-wide guards."""
+"""Suite-wide guards and helpers."""
 
 import os
+import tracemalloc
 
 import pytest
+
+
+def traced_peak(call, *args, **kwargs):
+    """Peak bytes that tracemalloc traces during call(*args, **kwargs), above its start."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        call(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(autouse=True)

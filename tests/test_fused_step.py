@@ -3,7 +3,9 @@
 A step synthesizes u once, evaluates the drift pair (f, Ftilde) jointly once
 (Problem.drift_values; g takes f's values when g is f), analyses
 [f(u); g(u)*dW] in one `project` call, and hands nodal u_{n+1}, f(u_{n+1}),
-F(u_{n+1}) + delta0 and V_{n+1} from its diagnostics to the next step.  Every
+F(u_{n+1}) + delta0 and V_{n+1} from its diagnostics to the next step; the
+two nodal arrays are the slots of the step's analysis buffer, which the next
+step through `Integrator` analyses again unless its state was read.  Every
 step also carries the batch's summed energy, which spares a healthy batch the
 finiteness scan and `Integrator.sanitize` its per-path energies.  These tests
 pin that the cache changes no bit of any result, that code building states
@@ -11,12 +13,12 @@ outside a stepper drops it, and how many transforms and pointwise maps a step
 costs.
 """
 
-import tracemalloc
 import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from savwave import cli, fem, model, schemes
 from savwave.harness import _batched_initial
@@ -80,9 +82,20 @@ def uncached(state):
     return SavState(state.u, state.v, state.q, state.n)
 
 
+STATE_FIELDS = ("u", "v", "q", "vals", "rad", "fvals", "V", "energy_sum")
+
+
+def same_bytes(a, b, names):
+    """Whether each named field of a and b is None in both or holds the same bytes."""
+    return all(
+        (x is None and y is None) or (x is not None and y is not None
+                                      and np.asarray(x).tobytes() == np.asarray(y).tobytes())
+        for x, y in ((getattr(a, n), getattr(b, n)) for n in names))
+
+
 def assert_same_step(a, b):
     (sa, da), (sb, db) = a, b
-    for name in ("u", "v", "q", "vals", "rad", "fvals", "V", "energy_sum"):
+    for name in STATE_FIELDS:
         assert np.array_equal(getattr(sa, name), getattr(sb, name)), name
     for name in ("V", "V1", "aux_gap", "energy_residual", "trace_term", "denominator"):
         assert np.array_equal(getattr(da, name), getattr(db, name)), name
@@ -210,9 +223,9 @@ def count_transforms(monkeypatch, backend, predictor, diagnostics, steps=4):
     for name in counts:
         original = getattr(Discretization, name)
 
-        def counted(self, x, _original=original, _name=name):
+        def counted(self, x, *args, _original=original, _name=name, **kwargs):
             counts[_name] += 1
-            return _original(self, x)
+            return _original(self, x, *args, **kwargs)
 
         monkeypatch.setattr(Discretization, name, counted)
     trace_fn = trace_operator(problem.noise, ops) if diagnostics else None
@@ -427,11 +440,12 @@ def test_sanitize_parks_a_bad_path_for_either_predictor(predictor):
 
 
 def test_diagnostics_step_releases_its_inputs_before_the_new_synthesis():
-    # From a cached state (f = g = sine, the trace term on), one diagnostics
-    # step's traced peak above its starting live set: the new state and the
-    # drift pair at u_{n+1} come to about 4.5 arrays of shape (B, 2K + 1).
-    # Holding the update's scratch arrays, the [b; G] coefficients and g(u_n)
-    # across the synthesis of u_{n+1} reads 7.7.
+    # From a carried state (f = g = sine, the trace term on), one diagnostics
+    # step's traced peak above its starting live set, in arrays of shape
+    # (B, 2K + 1): the rank-one update's five (B, K) arrays next to the
+    # [b; G] coefficients, about 4.1; u_{n+1} and the drift pair there reuse
+    # the step's buffer.  Holding the update's scratch arrays, the [b; G]
+    # coefficients and g(u_n) across the synthesis of u_{n+1} reads 7.7.
     batch, modes = 32, 64
     problem = make_problem(f="sine", g="sine", modes=modes)
     ops = spectral_discretization(modes)
@@ -442,23 +456,25 @@ def test_diagnostics_step_releases_its_inputs_before_the_new_synthesis():
     dws = [stream.normals((batch, modes)) * scale for _ in range(3)]
     integ.step(dws[0], diagnostics=True)
     integ.step(dws[1], diagnostics=True)
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        integ.step(dws[2], diagnostics=True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - start < 5 * batch * ops.x.size * 8
+    peak = traced_peak(integ.step, dws[2], diagnostics=True)
+    assert peak < 5 * batch * ops.x.size * 8
 
 
-@pytest.mark.parametrize("predictor, bound", [("identity", 4.0), ("extrapolation", 5.0)])
-def test_step_inputs_release_nodal_dw_before_the_analysis(predictor, bound):
-    # From a cached state (f = g = sine), the traced peak of a step's inputs
-    # in arrays of shape (B, 2K + 1): the [f; g dW] buffer and the projected
-    # coefficients, with nodal u_hat and F(u_hat) before them for the
-    # extrapolation predictor; about 3.55 and 4.55.  Holding nodal dW through
-    # the analysis, and nodal u_hat with it, reads 4.55 and 5.55.
+@pytest.mark.parametrize("predictor, cached, bound", [
+    pytest.param("identity", True, 4.0, id="identity"),
+    pytest.param("extrapolation", True, 4.5, id="extrapolation"),
+    pytest.param("identity", False, 4.5, id="identity-uncached"),
+    pytest.param("extrapolation", False, 4.5, id="extrapolation-uncached"),
+])
+def test_step_inputs_release_nodal_dw_before_the_analysis(predictor, cached, bound):
+    # From a held state (f = g = sine), the traced peak of a step's inputs in
+    # arrays of shape (B, 2K + 1).  Cached: the fresh [f; g dW] buffer, dW
+    # synthesized into it, and the projected coefficients, with nodal u_hat
+    # and F(u_hat) before them for the extrapolation predictor; about 3.55
+    # and 4.0.  Uncached: nodal u and F(u) next to the buffer, about 4.05;
+    # for the extrapolation predictor the pair at u writes f(u), the only
+    # value g = f needs, into the buffer.  A temporary nodal dW held through
+    # the analysis reads 4.55 and 5.55 cached, a fresh pair at u 6.55.
     batch, modes = 32, 64
     problem = make_problem(f="sine", g="sine", modes=modes)
     ops = spectral_discretization(modes)
@@ -469,39 +485,139 @@ def test_step_inputs_release_nodal_dw_before_the_analysis(predictor, bound):
     dws = [stream.normals((batch, modes)) * scale for _ in range(3)]
     integ.step(dws[0], diagnostics=True)
     integ.step(dws[1], diagnostics=True)
-    state = integ.state
+    state = integ.state if cached else uncached(integ.state)
     u_hat = None if integ.u_prev is None else 0.5 * (3.0 * state.u - integ.u_prev)
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        schemes._step_inputs(state, dws[2], problem, ops, u_hat)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - start < bound * batch * ops.x.size * 8
+    peak = traced_peak(schemes._step_inputs, state, dws[2], problem, ops, u_hat)
+    assert peak < bound * batch * ops.x.size * 8
 
 
 @pytest.mark.parametrize("predictor", PREDICTORS)
-def test_integrator_step_releases_the_previous_state_before_the_diagnostics(predictor):
+def test_integrator_step_releases_the_previous_state_before_the_diagnostics(monkeypatch,
+                                                                           predictor):
     # Integrator.step hands the stepper its only reference to the state, and
-    # the stepper drops it once the step inputs are taken: the cached nodal
-    # arrays of u_n are gone before the trace term and u_{n+1} are computed.
+    # the stepper drops it once the step inputs are taken: the previous state
+    # is gone before the diagnostics synthesize u_{n+1}; of its nodal cache
+    # only the array the step reuses as its buffer lives on.
     problem, ops, state, cmap = setup("spectral")
     dws = increments(problem, cmap, 2)
     alive = []
-    trace = trace_operator(problem.noise, ops)
+    diagnostics = schemes._diagnostics
 
-    def trace_fn(g_vals):
+    def observed(*args):
         alive.append(previous() is not None)
-        return trace(g_vals)
+        return diagnostics(*args)
 
-    integ = Integrator("exponential", TAU, problem, ops, state, predictor, trace_fn=trace_fn)
+    monkeypatch.setattr(schemes, "_diagnostics", observed)
+    integ = Integrator("exponential", TAU, problem, ops, state, predictor,
+                       trace_fn=trace_operator(problem.noise, ops))
     del state
     for dw in dws:
         previous = weakref.ref(integ.state)
         integ.step(dw, diagnostics=True)
     assert alive == [False, False]
     assert previous() is None
+
+
+def nodal_buffer(state):
+    """The (2, ..., M) array whose slots 0 and 1 are state.fvals and state.vals, else None."""
+    buf = state.vals.base
+    if buf is None or state.fvals.base is not buf or buf.shape != (2,) + state.vals.shape:
+        return None
+    slots = (buf[0].ctypes.data, buf[1].ctypes.data)
+    return buf if slots == (state.fvals.ctypes.data, state.vals.ctypes.data) else None
+
+
+def record_calls(monkeypatch, name):
+    """(input, out) of each Discretization.<name> call from here on."""
+    calls = []
+    original = getattr(Discretization, name)
+
+    def recording(self, x, out=None):
+        calls.append((x, out))
+        return original(self, x) if out is None else original(self, x, out)
+
+    monkeypatch.setattr(Discretization, name, recording)
+    return calls
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("predictor", PREDICTORS)
+def test_carried_buffer_is_the_next_analysis_input(monkeypatch, backend, predictor):
+    # A diagnostics step leaves nodal u_{n+1} and f(u_{n+1}) in the two slots
+    # of one (2, B, M) array, and the next step through Integrator analyses
+    # that very array: f(u_{n+1}) is not copied and no buffer is allocated.
+    problem, ops, state, cmap = setup(backend)
+    dws = increments(problem, cmap, 4)
+    integ = Integrator("exponential", TAU, problem, ops, state, predictor,
+                       trace_fn=trace_operator(problem.noise, ops))
+    projected = record_calls(monkeypatch, "project")
+    for dw in dws:
+        integ.step(dw, diagnostics=True)
+        buf = nodal_buffer(integ._state)
+        assert buf is not None and buf.shape == (2, BATCH, ops.x.size)
+        if len(projected) > 1:
+            assert projected[-1][0].base is carried
+        carried = buf
+    assert len(projected) == len(dws)
+
+
+@pytest.mark.parametrize("predictor", PREDICTORS)
+def test_a_read_state_is_not_analysed_in_place(monkeypatch, predictor):
+    # Reading Integrator.state shares the state: the next step analyses a
+    # fresh buffer, and the step after it the carried one again.
+    problem, ops, state, cmap = setup("spectral")
+    integ = Integrator("exponential", TAU, problem, ops, state, predictor)
+    projected = record_calls(monkeypatch, "project")
+    dws = increments(problem, cmap, 3)
+    integ.step(dws[0], diagnostics=True)
+    held = integ.state
+    integ.step(dws[1], diagnostics=True)
+    assert not np.shares_memory(projected[-1][0], held.vals.base)
+    carried = nodal_buffer(integ._state)
+    integ.step(dws[2], diagnostics=True)
+    assert projected[-1][0].base is carried
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("diagnostics", [False, True])
+def test_dw_is_synthesized_into_the_buffer_whenever_the_shapes_match(monkeypatch, backend,
+                                                                     diagnostics):
+    problem, ops, state, cmap = setup(backend)
+    dws = increments(problem, cmap, 3)
+    synthesized = record_calls(monkeypatch, "nodal")
+    integ = Integrator("exponential", TAU, problem, ops, state)
+    for dw in dws:
+        integ.step(dw, diagnostics=diagnostics)
+    outs = [out for x, out in synthesized if any(x is dw for dw in dws)]
+    assert len(outs) == len(dws) and all(out is not None for out in outs)
+    # Stacked schemes: the (B, K) increment broadcasts over the (S, B, K)
+    # state, so nodal dW is a temporary.
+    stacked = Integrator(("exponential", "midpoint"), TAU, problem, ops, SavState(
+        *(np.stack([a, a]) for a in (state.u, state.v, state.q))))
+    synthesized.clear()
+    stacked.step(dws[0], diagnostics=diagnostics)
+    assert [out for x, out in synthesized if x is dws[0]] == [None]
+
+
+@pytest.mark.parametrize("predictor", PREDICTORS)
+@pytest.mark.parametrize("f, g", [("sine", "sine"), ("sine", "constant"), ("sine", "linear"),
+                                  ("linear", "linear"), ("cubic", "sine")])
+def test_carried_buffer_moves_no_bit(predictor, f, g):
+    # An Integrator whose state is read after every step analyses a fresh
+    # buffer each time; one left alone analyses the carried buffer.  Both
+    # give the same bytes, also where g(u) is nodal u itself (g = linear
+    # with another f), so that nodal dW cannot go into the slot holding it.
+    problem, ops, state, cmap = setup("spectral", f=f, g=g)
+    dws = increments(problem, cmap, 4)
+    trace_fn = trace_operator(problem.noise, ops)
+    alone = Integrator("exponential", TAU, problem, ops, state, predictor, trace_fn=trace_fn)
+    shared = Integrator("exponential", TAU, problem, ops, state, predictor, trace_fn=trace_fn)
+    for i, dw in enumerate(dws):
+        diagnostics = i != 2
+        a = alone.step(dw, diagnostics=diagnostics)
+        b = shared.step(dw, diagnostics=diagnostics)
+        assert same_bytes(alone._state, shared.state, STATE_FIELDS), i
+        assert (a is b is None) or same_bytes(a, b, vars(a)), i
 
 
 def test_a_step_that_raises_leaves_no_state():

@@ -6,13 +6,13 @@ import subprocess
 import sys
 import threading
 import time
-import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from savwave import checks, fem, harness, model, noise, schemes, spectral
 from savwave.checks import invariant_suite
@@ -263,12 +263,7 @@ class TestEnergyEvolution:
         for T in (0.5, 2.0):  # 64 and 256 steps
             study = EnergyStudy(f="sine", g="sine", modes=modes, T=T, tau=2.0**-7,
                                 realizations=batch, chunk=batch)
-            tracemalloc.start()
-            try:
-                _energy_chunk(study, study.tau, 0, trace=True)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            peaks.append(traced_peak(_energy_chunk, study, study.tau, 0, trace=True))
         assert peaks[1] <= 1.1 * peaks[0]
         assert peaks[1] < 128 * batch * modes * 8
 
@@ -283,12 +278,7 @@ class TestEnergyEvolution:
             study = EnergyStudy(f="sine", g="sine", modes=modes, T=T, tau=2.0**-7,
                                 realizations=batch, chunk=batch)
             assert len(harness._slices(batch, 2, modes)) == 2
-            tracemalloc.start()
-            try:
-                _energy_chunk(study, study.tau, 0, None, 2, trace=True)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            peaks.append(traced_peak(_energy_chunk, study, study.tau, 0, None, 2, trace=True))
         assert peaks[1] <= 1.1 * peaks[0]
         assert peaks[1] < 128 * batch * modes * 8
 
@@ -975,12 +965,7 @@ class TestSpatialRefinement:
         harness._spatial_chunk(studies[0], 0)  # one-time imports stay off the trace
         peaks = []
         for study in studies:
-            tracemalloc.start()
-            try:
-                harness._spatial_chunk(study, 0)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            peaks.append(traced_peak(harness._spatial_chunk, study, 0))
         per_point = 3 * 8
         assert peaks[1] - peaks[0] <= (8192 - 2048) * per_point
 
@@ -1031,10 +1016,10 @@ class TestInvariantSuite:
         nodal = model.Discretization.nodal
         lone = []
 
-        def recording(self, coeffs):
+        def recording(self, coeffs, out=None):
             if coeffs.ndim < 2:
                 lone.append(coeffs.shape)
-            return nodal(self, coeffs)
+            return nodal(self, coeffs, out)
 
         monkeypatch.setattr(model.Discretization, "nodal", recording)
         for prefix in ("spectral", "model", "fem"):

@@ -197,7 +197,7 @@ class TestNodal:
     def test_spectral_sine_matrix_is_held_once_read_only(self):
         ops = spectral_discretization(32)
         assert np.shares_memory(ops.synth, ops.synth_t)
-        assert np.array_equal(ops.synth, _synthesis_matrix(32, 64))
+        assert np.array_equal(ops.synth_t, _synthesis_matrix(32, 64))
         assert not ops.synth.flags.writeable and not ops.synth_t.flags.writeable
 
 

@@ -9,6 +9,7 @@ from savwave.model import spectral_discretization, uniform_grid
 from savwave.schemes import modified_energy
 from savwave.spectral import (
     SpectralField,
+    _synthesis_matrix,
     cayley_group_table,
     eigenvalues,
     sine_values,
@@ -273,3 +274,18 @@ def test_sine_values_take_the_bits_of_the_expression():
         for x in (uniform_grid(2048).x[256:512], spectral_discretization(modes).x):
             expected = np.sqrt(2.0) * np.sin(np.pi * np.outer(x, np.arange(1, modes + 1)))
             assert sine_values(x, modes).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("modes, grid_points", [
+    (3, 6), (3, 4), (16, 32), (100, 200), (100, 257), (255, 510), (256, 512), (1024, 2048)])
+def test_synthesis_matrix_takes_the_bits_of_the_expression(modes, grid_points):
+    # Built in place in the (K, M + 1) layout that spectral synthesis
+    # multiplies into; the FEM noise map reads its transpose.
+    j, k = np.arange(grid_points + 1), np.arange(1, modes + 1)
+    expected = np.sqrt(2.0) * np.sin(np.pi * np.outer(j, k) / grid_points)
+    expected[[0, -1]] = 0.0
+    mat = _synthesis_matrix(modes, grid_points)
+    assert mat.flags.c_contiguous and mat.shape == (modes, grid_points + 1)
+    assert np.array_equal(mat, expected.T)
+    if grid_points == 2 * modes:
+        assert np.array_equal(spectral_discretization(modes).synth_t, mat)
